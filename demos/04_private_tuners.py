@@ -5,29 +5,25 @@ tuner draws a geometric number of runs and pays only a logarithmic privacy
 overhead, at the cost of many more base runs.
 """
 
-import math
-
 import numpy as np
 
-from dpmargin import TnbDist, master_tnb_budget, tnb_tune_privacy
-from dpmargin.privacy import master_iter_budget, per_candidate_budget
+from dpmargin import budget_ledger
 from dpmargin.tuning import noisy_argmin
 from dpmargin._seeding import stream
 
 eps, delta, grid, n = 1.0, 1e-5, 8, 100
 
-mu_iter = master_iter_budget(eps, delta)
-base_mu, noise_unit = per_candidate_budget(mu_iter, grid)
+sweep = budget_ledger(eps, delta, "iterate", grid)
+noise_unit = sweep["score_noise_std"]
 print("brute-force sweep:")
-print(f"  master GDP mu = {mu_iter:.5f}, per-candidate mu = {base_mu:.5f}")
+print(f"  master GDP mu = {sweep['mu']:.5f}, per-candidate mu = {sweep['per_candidate_mu']:.5f}")
 print(f"  score noise std (sensitivity 1) = {noise_unit:.2f}")
 
-mu_tnb, r = master_tnb_budget(eps, delta, grid, n)
-dist = TnbDist(eta=1, r=r)
+tnb = budget_ledger(eps, delta, "priv_tune", grid, n)
 print("\nadvanced tuner:")
-print(f"  per-run mu = {mu_tnb / math.sqrt(2):.5f}, geometric rate r = {r:.3g}")
-print(f"  expected number of runs = {1 / r:,.0f}")
-print(f"  overall privacy: ({tnb_tune_privacy(mu_tnb, r, delta, simplified=True):.5f}, {delta})-DP")
+print(f"  per-run mu = {tnb['per_run_mu']:.5f}, geometric rate r = {tnb['tnb_r']:.3g}")
+print(f"  expected number of runs = {1 / tnb['tnb_r']:,.0f}")
+print(f"  overall privacy: ({tnb['epsilon']:.5f}, {delta})-DP")
 
 # noisy selection on fixed scores: smaller noise picks the true best more often
 scores = np.array([40.0, 12.0, 3.0, 9.0, 25.0, 31.0, 18.0, 22.0])

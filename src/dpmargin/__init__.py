@@ -30,8 +30,7 @@ from .master import (
 )
 from .optimizer import LinearModel, NgdOverrides, jlgd, ngd
 from .privacy import (
-    ApproxDp,
-    GdpBudget,
+    budget_ledger,
     compose_gdp,
     gdp_to_approx_dp,
     gdp_to_approx_dp_high_privacy,

@@ -19,7 +19,6 @@ TNB_RUNS = 0x544E
 CANDIDATE_PICK = 0x4350
 CANDIDATE_SEED = 0x4344
 SYNTH = 0x5359
-RUN_SEED = 0x5255
 
 
 def stream(seed: int, tag: int, *indices: int) -> np.random.Generator:
@@ -34,9 +33,3 @@ def child_seed(seed: int, tag: int, *indices: int) -> int:
     words = ss.generate_state(2, dtype=np.uint32)
     return (int(words[0]) << 31) ^ int(words[1])
 
-
-def coerce_rng(seed_or_rng) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return stream(int(seed_or_rng), RUN_SEED)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import secrets
 import sys
 
@@ -35,14 +34,7 @@ from .master import (
     training_risk,
 )
 from .optimizer import NgdOverrides, ngd
-from .privacy import (
-    compose_gdp,
-    gdp_to_approx_dp_high_privacy,
-    master_iter_budget,
-    master_tnb_budget,
-    per_candidate_budget,
-    tnb_tune_privacy,
-)
+from .privacy import budget_ledger
 
 #: Above this size synth reports the planted margin instead of the oracle value.
 SYNTH_ORACLE_CAP = 500
@@ -186,38 +178,14 @@ def cmd_margin_curve(args) -> int:
 
 
 def cmd_privacy_report(args) -> int:
-    eps, delta, grid = args.epsilon, args.delta, args.grid
+    """Print the budget ledger a `train` model file carries for these inputs."""
+    grid = args.grid
     if grid is None:
         if args.n is None:
             raise PrivacyBudgetError("privacy-report needs --grid or --n")
         grid = len(margin_grid(args.n))
-    report = {"epsilon": eps, "delta": delta, "grid_size": grid}
-    if (args.tuner or "iterate") == "iterate":
-        mu = master_iter_budget(eps, delta)
-        base_mu, noise_unit = per_candidate_budget(mu, grid)
-        composed = compose_gdp([base_mu] * (2 * grid))
-        report.update({
-            "tuner": "iterate",
-            "mu": mu,
-            "per_candidate_mu": base_mu,
-            "score_noise_std": noise_unit,
-            "composed_mu": composed,
-            "final": f"({gdp_to_approx_dp_high_privacy(composed, delta):g}, {delta:g})-DP",
-            "compose_round_trip": "OK" if math.isclose(composed, mu, rel_tol=1e-12) else "FAIL",
-        })
-    else:
-        if args.n is None:
-            raise PrivacyBudgetError("priv-tune report needs --n")
-        mu, r = master_tnb_budget(eps, delta, grid, args.n)
-        eps_total = tnb_tune_privacy(mu, r, delta, simplified=True)
-        report.update({
-            "tuner": "priv-tune",
-            "mu": mu,
-            "tnb_r": r,
-            "per_run_mu": mu / math.sqrt(2.0),
-            "score_noise_std": math.sqrt(2.0) / mu,
-            "final": f"({eps_total:g}, {delta:g})-DP (epsilon + delta form)",
-        })
+    tuner = "priv_tune" if args.tuner == "priv-tune" else "iterate"
+    report = budget_ledger(args.epsilon, args.delta, tuner, grid, args.n)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

@@ -75,12 +75,9 @@ def empirical_risk(w, dataset: Dataset, spec: LossSpec, mode: str = "averaged") 
     return total / dataset.n if mode == "averaged" else total
 
 
-def hinge_sensitivity(b: float, c: float, relation: str = "add_remove") -> float:
-    """L2 sensitivity of the summed hinge gradient: b/c, doubled for replacement."""
+def hinge_sensitivity(b: float, c: float) -> float:
+    """L2 sensitivity b/c of the summed hinge gradient when one point is added
+    or removed."""
     if not (b > 0 and c > 0):
         raise ValueError("b and c must be positive")
-    if relation == "add_remove":
-        return b / c
-    if relation == "replace":
-        return 2.0 * b / c
-    raise ValueError(f"unknown neighboring relation {relation!r}")
+    return b / c

@@ -21,13 +21,7 @@ from .data import Dataset, geometric_margin_oracle, min_outliers_oracle
 from .errors import SizeError
 from .loss import LossSpec, empirical_risk
 from .optimizer import LinearModel, jlgd
-from .privacy import (
-    compose_gdp,
-    master_iter_budget,
-    master_tnb_budget,
-    per_candidate_budget,
-    tnb_tune_privacy,
-)
+from .privacy import budget_ledger
 from .projection import IdentityMap, projection_dim, sample_jl
 from .tuning import Candidate, ScoreSpec, TnbDist, iter_tune, priv_tune
 
@@ -126,40 +120,14 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
         prov = dataclasses.replace(model.provenance, gamma=candidate.gamma)
         return LinearModel(model.weights, model.dim, prov)
 
+    ledger = budget_ledger(cfg.epsilon, cfg.delta, cfg.tuner, grid_size, n)
     if cfg.tuner == "iterate":
-        mu = master_iter_budget(cfg.epsilon, cfg.delta)
-        model, winner = iter_tune(base, candidates, dataset, mu, spec,
+        model, winner = iter_tune(base, candidates, dataset, ledger["mu"], spec,
                                   seed=cfg.seed, threads=cfg.threads)
-        base_mu, noise_unit = per_candidate_budget(mu, grid_size)
-        ledger = {
-            "tuner": "iterate",
-            "grid_size": grid_size,
-            "mu": mu,
-            "per_candidate_mu": base_mu,
-            "score_noise_std": spec.sensitivity * noise_unit,
-            "composed_mu": compose_gdp([base_mu] * (2 * grid_size)),
-            "epsilon": cfg.epsilon,
-            "delta": cfg.delta,
-            "guarantee": f"({cfg.epsilon:g}, {cfg.delta:g})-DP",
-        }
     else:
-        mu, r = master_tnb_budget(cfg.epsilon, cfg.delta, grid_size, n)
-        dist = TnbDist(eta=1.0, r=r)
-        model, winner = priv_tune(base, candidates, dist, dataset, mu, spec,
+        dist = TnbDist(eta=1.0, r=ledger["tnb_r"])
+        model, winner = priv_tune(base, candidates, dist, dataset, ledger["mu"], spec,
                                   seed=cfg.seed, threads=cfg.threads)
-        eps_total = tnb_tune_privacy(mu, r, cfg.delta, simplified=True)
-        ledger = {
-            "tuner": "priv_tune",
-            "grid_size": grid_size,
-            "mu": mu,
-            "tnb_r": r,
-            "per_run_mu": mu / math.sqrt(2.0),
-            "score_noise_std": spec.sensitivity * math.sqrt(2.0) / mu,
-            "epsilon": eps_total,
-            "delta": cfg.delta,
-            "guarantee": f"({eps_total:g}, {cfg.delta:g})-DP"
-                         f" (= (epsilon + delta, delta) at epsilon = {cfg.epsilon:g})",
-        }
     ledger["score_kind"] = cfg.score_kind
     ledger["output_mode"] = mode
     return MasterResult(model=model, gamma_out=winner.gamma,

@@ -131,13 +131,12 @@ def ngd(
     mode: str = "averaged",
     seed: int = 0,
     overrides: NgdOverrides | None = None,
-    noise_audit=None,
 ) -> LinearModel:
     """Noisy subgradient descent on the summed hinge loss from w0 = 0.
 
     Returns the averaged iterate (1/T) sum_{t<T} w_t or the last iterate w_T
-    depending on `mode`.  Deterministic given `seed`.  `noise_audit`, when
-    given, receives the resolved schedule before the loop starts.
+    depending on `mode`.  Deterministic given `seed`.  The resolved schedule
+    (T, sigma, eta) is recorded in the model's `provenance.schedule`.
     """
     if loss.kind != "hinge":
         raise ValueError("the optimizer minimizes hinge loss; got " + loss.kind)
@@ -149,13 +148,10 @@ def ngd(
         raise ValueError("mu must be positive")
     overrides = overrides or NgdOverrides()
     n, k, c = dataset.n, dataset.dim, loss.c
-    delta_sens = hinge_sensitivity(dataset.norm_bound, c, "add_remove")
+    delta_sens = hinge_sensitivity(dataset.norm_bound, c)
     T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, ref_norm, mode, overrides)
     schedule = NgdConfig(T=T, sigma=sigma, eta=eta, output_mode=mode, seed=seed,
                          overrides=overrides)
-    if noise_audit is not None:
-        noise_audit({"T": T, "sigma": sigma, "eta": eta, "delta_sens": delta_sens,
-                     "mu": mu, "n": n, "k": k})
 
     signed = dataset.signed_features()  # rows y_i x_i
     w = np.zeros(k)
@@ -194,7 +190,6 @@ def jlgd(
     mode: str = "averaged",
     seed: int = 0,
     overrides: NgdOverrides | None = None,
-    noise_audit=None,
 ) -> LinearModel:
     """Project-and-clip, run ngd in k dimensions, lift the weights back.
 
@@ -208,7 +203,7 @@ def jlgd(
     else:
         low = project_and_clip(phi, dataset, dataset.norm_bound)
     model_k = ngd(LossSpec("hinge", c), low, mu, ref_norm=1.0, mode=mode, seed=seed,
-                  overrides=overrides, noise_audit=noise_audit)
+                  overrides=overrides)
     ambient = lift(phi, model_k.weights)
     prov = replace(model_k.provenance, jl_seed=phi.seed, k=phi.k)
     return LinearModel(ambient, dataset.dim, prov)

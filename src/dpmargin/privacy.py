@@ -2,38 +2,18 @@
 
 Every noise scale used anywhere in the toolkit is derived through
 `gaussian_noise_std`; no other module computes privacy noise on its own.
-All logarithms are natural.  Preconditions raise instead of clamping.
+`budget_ledger` is the one place the per-tuner budget is worked out, for
+both the mechanism and `privacy-report`.  All logarithms are natural.
+Preconditions raise instead of clamping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import PrivacyBudgetError
 
 _REL_SLACK = 1e-9  # float tolerance at closed-form precondition boundaries
-
-
-@dataclass(frozen=True)
-class GdpBudget:
-    mu: float
-
-    def __post_init__(self):
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise PrivacyBudgetError(f"mu must be positive and finite, got {self.mu}")
-
-
-@dataclass(frozen=True)
-class ApproxDp:
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise PrivacyBudgetError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise PrivacyBudgetError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 def gaussian_noise_std(sensitivity: float, mu: float) -> float:
@@ -142,6 +122,53 @@ def master_tnb_budget(epsilon: float, delta: float, grid_size: int, n: int):
     r = 1.0 / denom
     mu = epsilon / (6.0 * math.sqrt(2.0 * math.log(denom / delta)))
     return mu, r
+
+
+def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
+                  n: int | None = None) -> dict:
+    """The budget ledger of a run, computed from public inputs only.
+
+    `mu` (and for "priv_tune" the geometric rate `tnb_r`) drive the tuner;
+    the per-run budget and score-noise std are the ones it injects.  The
+    guarantee is (epsilon, delta)-DP for "iterate" and
+    (epsilon + delta, delta)-DP for "priv_tune", which also needs n.
+    """
+    if tuner == "iterate":
+        mu = master_iter_budget(epsilon, delta)
+        base_mu, noise_std = per_candidate_budget(mu, grid_size)
+        composed = compose_gdp([base_mu] * (2 * grid_size))
+        round_trip = math.isclose(composed, mu, rel_tol=1e-12)
+        return {
+            "tuner": "iterate",
+            "grid_size": grid_size,
+            "mu": mu,
+            "per_candidate_mu": base_mu,
+            "score_noise_std": noise_std,
+            "composed_mu": composed,
+            "compose_round_trip": "OK" if round_trip else "FAIL",
+            "epsilon": epsilon,
+            "delta": delta,
+            "guarantee": f"({epsilon:g}, {delta:g})-DP",
+        }
+    if tuner != "priv_tune":
+        raise ValueError(f"unknown tuner {tuner!r}")
+    if n is None:
+        raise PrivacyBudgetError("the priv_tune budget needs the dataset size n")
+    mu, r = master_tnb_budget(epsilon, delta, grid_size, n)
+    base_mu, noise_std = per_candidate_budget(mu, 1)  # one run, one score release
+    eps_total = tnb_tune_privacy(mu, r, delta, simplified=True)
+    return {
+        "tuner": "priv_tune",
+        "grid_size": grid_size,
+        "mu": mu,
+        "tnb_r": r,
+        "per_run_mu": base_mu,
+        "score_noise_std": noise_std,
+        "epsilon": eps_total,
+        "delta": delta,
+        "guarantee": f"({eps_total:g}, {delta:g})-DP"
+                     f" (= (epsilon + delta, delta) at epsilon = {epsilon:g})",
+    }
 
 
 def _check_mu_delta(mu: float, delta: float) -> None:

@@ -18,7 +18,7 @@ from ._seeding import CANDIDATE_PICK, CANDIDATE_SEED, SCORE_NOISE, TNB_RUNS, chi
 from .data import Dataset
 from .errors import MissingContextError, ResourceError, UnsupportedError
 from .optimizer import LinearModel
-from .privacy import gaussian_noise_std, per_candidate_budget
+from .privacy import per_candidate_budget
 
 #: priv_tune refuses to launch more base runs than this.
 DEFAULT_RUN_CAP = 10**6
@@ -50,7 +50,6 @@ class TnbDist:
 class ScoreSpec:
     kind: str  # "empirical_zero_one" | "penalized_population"
     beta: float | None = None  # penalized only; defaults to 1/n^2
-    sensitivity: float = 1.0  # summed zero-one under replacement
 
     def __post_init__(self):
         if self.kind not in ("empirical_zero_one", "penalized_population"):
@@ -104,14 +103,9 @@ def iter_tune(
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    m = len(candidates)
-    base_mu, noise_unit = per_candidate_budget(mu, m)
-    noise_std = spec.sensitivity * noise_unit  # = sensitivity * sqrt(2m)/mu
-    seeds = [child_seed(seed, CANDIDATE_SEED, i) for i in range(m)]
-    models = _run_indexed(lambda i: base(candidates[i], base_mu, seeds[i]), m, threads)
-    scores = [score(model, dataset, spec) for model in models]
-    pick = noisy_argmin(scores, noise_std, stream(seed, SCORE_NOISE))
-    return models[pick], candidates[pick]
+    base_mu, noise_std = per_candidate_budget(mu, len(candidates))
+    return _private_select(base, candidates, dataset, base_mu, noise_std, spec, seed,
+                           threads)
 
 
 def sample_tnb(dist: TnbDist, seed, size: int | None = None):
@@ -186,8 +180,8 @@ def priv_tune(
 ) -> tuple[LinearModel, Candidate]:
     """Advanced selector: K ~ dist runs on uniformly drawn candidates.
 
-    Each run gets budget mu/sqrt(2) for the base mechanism and the matching
-    Gaussian score release; the end-to-end privacy is reported through
+    Each run and its Gaussian score release share mu as in a one-candidate
+    `per_candidate_budget` split; the end-to-end privacy is reported through
     `privacy.tnb_tune_privacy(mu, dist.r, delta)`.
     """
     if not candidates:
@@ -199,15 +193,21 @@ def priv_tune(
             f"or use the iterate tuner"
         )
     picks = stream(seed, CANDIDATE_PICK).integers(0, len(candidates), size=k_runs)
-    base_mu = mu / math.sqrt(2.0)
-    noise_std = gaussian_noise_std(spec.sensitivity, base_mu)  # = sens * sqrt(2) / mu
-    seeds = [child_seed(seed, CANDIDATE_SEED, t) for t in range(k_runs)]
-    models = _run_indexed(
-        lambda t: base(candidates[int(picks[t])], base_mu, seeds[t]), int(k_runs), threads
-    )
+    base_mu, noise_std = per_candidate_budget(mu, 1)
+    runs = [candidates[int(i)] for i in picks]
+    return _private_select(base, runs, dataset, base_mu, noise_std, spec, seed, threads)
+
+
+def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: float,
+                    noise_std: float, spec: ScoreSpec, seed: int, threads: int):
+    """Run `base` once per entry of `runs` at budget base_mu, score every
+    model, and return the (model, candidate) pair with the least noisy score.
+    """
+    seeds = [child_seed(seed, CANDIDATE_SEED, i) for i in range(len(runs))]
+    models = _run_indexed(lambda i: base(runs[i], base_mu, seeds[i]), len(runs), threads)
     scores = [score(model, dataset, spec) for model in models]
     pick = noisy_argmin(scores, noise_std, stream(seed, SCORE_NOISE))
-    return models[pick], candidates[int(picks[pick])]
+    return models[pick], runs[pick]
 
 
 def _run_indexed(fn, count: int, threads: int) -> list:

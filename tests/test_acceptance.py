@@ -119,6 +119,7 @@ def end_to_end_risks():
     return risks
 
 
+@pytest.mark.slow
 def test_criterion_4_realizable_end_to_end(end_to_end_risks):
     risks = end_to_end_risks["clean"]
     hits = sum(r <= 0.05 for r in risks)
@@ -127,6 +128,7 @@ def test_criterion_4_realizable_end_to_end(end_to_end_risks):
     report(4, "realizable end-to-end risk <= 0.05 in >= 18/20", hits >= 18)
 
 
+@pytest.mark.slow
 def test_criterion_5_outlier_adaptivity(end_to_end_risks):
     clean = end_to_end_risks["clean"]
     dirty = end_to_end_risks["outlier"]

@@ -209,7 +209,7 @@ def test_privacy_report_iterate_values(capsys):
     assert doc["mu"] == pytest.approx(0.10419866624665258, abs=1e-9)
     assert doc["per_candidate_mu"] == pytest.approx(0.026049666561663146, abs=1e-9)
     assert doc["compose_round_trip"] == "OK"
-    assert doc["final"].startswith("(1")
+    assert doc["guarantee"] == "(1, 1e-05)-DP"
 
 
 def test_privacy_report_priv_tune(capsys):
@@ -219,7 +219,26 @@ def test_privacy_report_priv_tune(capsys):
     assert code == 0
     doc = json.loads(stdout)
     assert doc["tnb_r"] == pytest.approx(1.0 / 79992, abs=1e-15)
-    assert "epsilon + delta" in doc["final"]
+    assert "epsilon + delta" in doc["guarantee"]
+    assert doc["epsilon"] == pytest.approx(1.0 + 1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("tuner", ["iterate", "priv-tune"])
+def test_privacy_report_prints_the_model_ledger(tmp_path, capsys, monkeypatch, tuner):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run(capsys, "synth", "--n", "30", "--d", "5", "--gamma", "0.4", "--seed", "2",
+        "--out", str(data))
+    code, _, _ = run(capsys, "train", "--dataset", str(data), "--epsilon", "1",
+                     "--delta", "1e-5", "--tuner", tuner, "--seed", "3",
+                     "--out", str(model))
+    assert code == 0
+    ledger = json.loads(model.read_text())["ledger"]
+    del ledger["score_kind"], ledger["output_mode"]
+    code, stdout, _ = run(capsys, "privacy-report", "--json", "--n", "30",
+                          "--epsilon", "1", "--delta", "1e-5", "--tuner", tuner)
+    assert code == 0
+    assert json.loads(stdout) == ledger
 
 
 def test_privacy_report_epsilon_too_large_exit_2(capsys):

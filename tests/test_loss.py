@@ -109,16 +109,15 @@ def test_empirical_risk_matches_per_point_loop(rng):
 
 
 def test_hinge_sensitivity_values():
-    assert hinge_sensitivity(1.0, 0.5, "add_remove") == 2.0
-    assert hinge_sensitivity(1.0, 0.5, "replace") == 4.0
-    assert hinge_sensitivity(0.7, 0.7, "add_remove") == 1.0
+    assert hinge_sensitivity(1.0, 0.5) == 2.0
+    assert hinge_sensitivity(0.7, 0.7) == 1.0
 
 
 def test_hinge_sensitivity_validation():
     with pytest.raises(ValueError):
         hinge_sensitivity(0.0, 1.0)
     with pytest.raises(ValueError):
-        hinge_sensitivity(1.0, 1.0, "swap")
+        hinge_sensitivity(1.0, 0.0)
 
 
 # ---------------------------------------------------------------- properties
@@ -150,7 +149,7 @@ def test_subgrad_norm_bounded_by_sensitivity(wc, xc, y, c):
     w, x = np.asarray(wc), np.asarray(xc)
     b = max(float(np.linalg.norm(x)), 1e-9)
     g = hinge_subgrad(w, pt(xc, y), c)
-    assert np.linalg.norm(g) <= hinge_sensitivity(b, c, "add_remove") + 1e-12
+    assert np.linalg.norm(g) <= hinge_sensitivity(b, c) + 1e-12
 
 
 def test_zero_one_risk_in_unit_interval(rng):

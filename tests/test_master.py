@@ -166,6 +166,16 @@ def test_master_priv_tune_ledger_and_risk():
     assert training_risk(result.model, ds) <= 0.34
 
 
+@pytest.mark.xfail(strict=True, reason="T = ceil(n^2 mu^2) = 1 at n = 30, so the "
+                   "averaged iterate is w0 = 0 and scores 0 errors")
+@pytest.mark.parametrize("tuner", ["iterate", "priv_tune"])
+def test_master_small_n_model_is_not_vacuous(tuner):
+    ds = small_synth(n=30, d=6, gamma=0.4, seed=11)
+    result = dp_adaptive_margin(ds, MasterConfig(epsilon=1.0, delta=1e-5, tuner=tuner,
+                                                 seed=4))
+    assert np.any(result.model.weights != 0.0)
+
+
 def test_master_rejects_unclipped_data():
     ds = make_dataset([[3.0, 0.0], [0.0, 1.0]], [1, -1], bound=1.0)
     with pytest.raises(ValueError, match="clip"):

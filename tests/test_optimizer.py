@@ -72,21 +72,21 @@ def test_iteration_cap_resource_error(monkeypatch):
 
 def test_noise_audit_default_is_n_delta():
     ds = planted(n=80)
-    seen = {}
-    ngd(LossSpec("hinge", 0.2), ds, mu=0.05, seed=1, noise_audit=seen.update)
-    delta_sens = hinge_sensitivity(ds.norm_bound, 0.2, "add_remove")
-    assert seen["sigma"] == ds.n * delta_sens
-    assert seen["delta_sens"] == delta_sens
+    schedule = ngd(LossSpec("hinge", 0.2), ds, mu=0.05, seed=1).provenance.schedule
+    delta_sens = hinge_sensitivity(ds.norm_bound, 0.2)
+    assert schedule.T == math.ceil((ds.n * 0.05) ** 2)
+    assert schedule.sigma == ds.n * delta_sens
 
 
 def test_noise_audit_t_override_is_sqrt_t_over_mu():
     ds = planted(n=80)
-    seen = {}
     mu = 0.05
-    ngd(LossSpec("hinge", 0.2), ds, mu=mu, seed=1,
-        overrides=NgdOverrides(T=77), noise_audit=seen.update)
-    delta_sens = hinge_sensitivity(ds.norm_bound, 0.2, "add_remove")
-    assert seen["sigma"] == pytest.approx(delta_sens * math.sqrt(77) / mu, rel=1e-12)
+    model = ngd(LossSpec("hinge", 0.2), ds, mu=mu, seed=1, overrides=NgdOverrides(T=77))
+    delta_sens = hinge_sensitivity(ds.norm_bound, 0.2)
+    assert model.provenance.schedule.T == 77
+    assert model.provenance.schedule.sigma == pytest.approx(
+        delta_sens * math.sqrt(77) / mu, rel=1e-12
+    )
 
 
 def test_noise_scale_derived_from_privacy_module(monkeypatch):
@@ -104,9 +104,8 @@ def test_noise_scale_derived_from_privacy_module(monkeypatch):
 
     monkeypatch.setattr(opt, "gaussian_noise_std", spy)
     ds = planted(n=60)
-    seen = {}
-    ngd(LossSpec("hinge", 0.2), ds, mu=0.05, seed=0, noise_audit=seen.update)
-    assert seen["sigma"] in calls
+    model = ngd(LossSpec("hinge", 0.2), ds, mu=0.05, seed=0)
+    assert model.provenance.schedule.sigma in calls
 
 
 # ---------------------------------------------------------------- dynamics
@@ -128,7 +127,7 @@ def test_noiseless_matches_independent_oracle():
     ds = planted(n=40, d=5, gamma=0.35, seed=3)
     c = 0.35
     T = 200
-    delta_sens = hinge_sensitivity(ds.norm_bound, c, "add_remove")
+    delta_sens = hinge_sensitivity(ds.norm_bound, c)
     eta = 1.0 / (ds.n * delta_sens * math.sqrt(T))
     model = ngd(LossSpec("hinge", c), ds, mu=1.0, mode="last_iterate", seed=0,
                 overrides=NgdOverrides(T=T, sigma=0.0, eta=eta))
@@ -173,7 +172,7 @@ def test_averaged_excess_risk_decreases_in_t():
     c = 0.35
     risks = []
     for T in (50, 200, 800):
-        delta_sens = hinge_sensitivity(ds.norm_bound, c, "add_remove")
+        delta_sens = hinge_sensitivity(ds.norm_bound, c)
         eta = 1.0 / (ds.n * delta_sens * math.sqrt(T))
         model = ngd(LossSpec("hinge", c), ds, mu=1.0, mode="averaged", seed=0,
                     overrides=NgdOverrides(T=T, sigma=0.0, eta=eta))

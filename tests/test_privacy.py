@@ -5,8 +5,7 @@ import pytest
 
 from dpmargin.errors import PrivacyBudgetError
 from dpmargin.privacy import (
-    ApproxDp,
-    GdpBudget,
+    budget_ledger,
     compose_gdp,
     gaussian_noise_std,
     gdp_to_approx_dp,
@@ -180,17 +179,17 @@ def test_gaussian_noise_std():
         gaussian_noise_std(1.0, 0.0)
 
 
-# ---------------------------------------------------------------- budget types
+# ---------------------------------------------------------------- ledger
 
-def test_budget_type_validation():
-    GdpBudget(0.5)
-    ApproxDp(1.0, 1e-5)
-    with pytest.raises(PrivacyBudgetError):
-        GdpBudget(0.0)
-    with pytest.raises(PrivacyBudgetError):
-        ApproxDp(1.0, 1.5)
-    with pytest.raises(PrivacyBudgetError):
-        ApproxDp(0.0, 1e-5)
+def test_budget_ledger_priv_tune_split_and_preconditions():
+    ledger = budget_ledger(1.0, 1e-5, "priv_tune", 8, n=100)
+    assert (ledger["per_run_mu"], ledger["score_noise_std"]) == per_candidate_budget(
+        ledger["mu"], 1
+    )
+    with pytest.raises(PrivacyBudgetError, match="needs the dataset size n"):
+        budget_ledger(1.0, 1e-5, "priv_tune", 8)
+    with pytest.raises(ValueError, match="unknown tuner"):
+        budget_ledger(1.0, 1e-5, "grid", 8, n=100)
 
 
 def test_conversion_dominates_exact_gaussian_tradeoff():

@@ -436,26 +436,19 @@ def test_priv_tune_selection_utility_conditional_bound():
 
 
 def test_tuner_noise_scales_come_from_privacy_module(monkeypatch):
-    # intercept the accounting chokepoints; both tuners' injected stds must
-    # be values those calls returned, not independently computed ones
+    # intercept the accounting chokepoint; both tuners' injected stds must
+    # be values it returned, not independently computed ones
     import dpmargin.tuning as tun
 
     produced = []
     orig_budget = tun.per_candidate_budget
-    orig_std = tun.gaussian_noise_std
 
     def budget_spy(mu, grid):
         base, unit = orig_budget(mu, grid)
         produced.append(unit)
         return base, unit
 
-    def std_spy(sens, mu):
-        out = orig_std(sens, mu)
-        produced.append(out)
-        return out
-
     monkeypatch.setattr(tun, "per_candidate_budget", budget_spy)
-    monkeypatch.setattr(tun, "gaussian_noise_std", std_spy)
 
     injected = []
     orig_argmin = tun.noisy_argmin
