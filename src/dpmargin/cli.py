@@ -115,7 +115,7 @@ def cmd_train(args) -> int:
         output_mode=mapped(args.mode, {None: None, "averaged": "averaged",
                                        "last": "last_iterate"}, "--mode"),
         seed=_resolve_seed(args),
-        threads=args.threads or 1,
+        threads=1 if args.threads is None else args.threads,
     )
     result = dp_adaptive_margin(dataset, cfg)
     text = model_to_json(result, cfg)
@@ -179,11 +179,17 @@ def cmd_margin_curve(args) -> int:
 
 def cmd_privacy_report(args) -> int:
     """Print the budget ledger a `train` model file carries for these inputs."""
-    grid = args.grid
-    if grid is None:
-        if args.n is None:
+    if args.n is None:
+        if args.grid is None:
             raise PrivacyBudgetError("privacy-report needs --grid or --n")
+        grid = args.grid
+    else:
         grid = len(margin_grid(args.n))
+        if args.grid is not None and args.grid != grid:
+            raise PrivacyBudgetError(
+                f"--grid {args.grid} contradicts --n {args.n}, whose margin grid "
+                f"has {grid} entries; give one of them or make them agree"
+            )
     tuner = "priv_tune" if args.tuner == "priv-tune" else "iterate"
     report = budget_ledger(args.epsilon, args.delta, tuner, grid, args.n)
     if args.json:

@@ -44,6 +44,8 @@ class MasterConfig:
             raise ValueError(f"unknown score kind {self.score_kind!r}")
         if self.output_mode not in (None, "averaged", "last_iterate"):
             raise ValueError(f"unknown output mode {self.output_mode!r}")
+        if not isinstance(self.threads, int) or self.threads < 1:
+            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
 
     def resolved_mode(self) -> str:
         if self.output_mode is not None:

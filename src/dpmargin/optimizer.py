@@ -137,6 +137,11 @@ def ngd(
     Returns the averaged iterate (1/T) sum_{t<T} w_t or the last iterate w_T
     depending on `mode`.  Deterministic given `seed`.  The resolved schedule
     (T, sigma, eta) is recorded in the model's `provenance.schedule`.
+
+    Gradient noise is drawn from the seed's stream in blocks of at most 512
+    rows, none longer than the steps left, so a noisy run draws exactly
+    T * k normals.  The stream fills arrays in order, so the noise does not
+    depend on the block sizes.
     """
     if loss.kind != "hinge":
         raise ValueError("the optimizer minimizes hinge loss; got " + loss.kind)
@@ -158,10 +163,10 @@ def ngd(
     averaged = np.zeros(k)
     grad = np.empty(k)
     rng = stream(seed, NGD_NOISE)
-    block = None
-    block_pos = _NOISE_BLOCK
+    block = np.empty((0, k))
+    block_pos = 0
     inv_c = -1.0 / c
-    for _ in range(T):
+    for t in range(T):
         scores = signed @ w
         active = (scores < c).astype(np.float64)  # zero subgradient at the kink
         np.dot(signed.T, active, out=grad)
@@ -169,8 +174,8 @@ def ngd(
         if mode == "averaged":
             averaged += w
         if sigma > 0.0:
-            if block_pos == _NOISE_BLOCK:
-                block = rng.standard_normal((_NOISE_BLOCK, k))
+            if block_pos == len(block):
+                block = rng.standard_normal((min(_NOISE_BLOCK, T - t), k))
                 block *= sigma
                 block_pos = 0
             grad += block[block_pos]

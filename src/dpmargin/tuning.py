@@ -79,10 +79,15 @@ def score(model: LinearModel, dataset: Dataset, spec: ScoreSpec) -> float:
     return errs + 2.5 * (k * math.log(2 * n) + math.log(4.0 / beta))
 
 
+def score_noise(noise_std: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` draws of N(0, noise_std^2), the noise added to the scores."""
+    return noise_std * rng.standard_normal(count)
+
+
 def noisy_argmin(values, noise_std: float, rng: np.random.Generator) -> int:
     """Index of the smallest value + N(0, noise_std^2); first index on ties."""
     values = np.asarray(values, dtype=np.float64)
-    noisy = values + noise_std * rng.standard_normal(values.shape[0])
+    noisy = values + score_noise(noise_std, values.shape[0], rng)
     return int(np.argmin(noisy))
 
 
@@ -200,18 +205,36 @@ def priv_tune(
 
 def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: float,
                     noise_std: float, spec: ScoreSpec, seed: int, threads: int):
-    """Run `base` once per entry of `runs` at budget base_mu, score every
-    model, and return the (model, candidate) pair with the least noisy score.
+    """Run `base` once per entry of `runs` at budget base_mu and return the
+    (model, candidate) pair with the least noisy score.
+
+    The score noise is drawn up front, the same draws `noisy_argmin` makes,
+    and each model is scored as it arrives.  Only the running minimum is
+    kept, so a serial run holds one model at a time besides the best so far;
+    the strict `<` keeps the first index on ties, as `noisy_argmin` does.
     """
+    noise = score_noise(noise_std, len(runs), stream(seed, SCORE_NOISE))
     seeds = [child_seed(seed, CANDIDATE_SEED, i) for i in range(len(runs))]
-    models = _run_indexed(lambda i: base(runs[i], base_mu, seeds[i]), len(runs), threads)
-    scores = [score(model, dataset, spec) for model in models]
-    pick = noisy_argmin(scores, noise_std, stream(seed, SCORE_NOISE))
-    return models[pick], runs[pick]
+
+    def run(i):
+        return base(runs[i], base_mu, seeds[i])
+
+    best = None
+    for i, model in enumerate(_run_indexed(run, len(runs), threads)):
+        noisy = score(model, dataset, spec) + noise[i]
+        if best is None or noisy < best[0]:
+            best = (noisy, model, runs[i])
+    return best[1], best[2]
 
 
-def _run_indexed(fn, count: int, threads: int) -> list:
+def _run_indexed(fn, count: int, threads: int):
+    """Yield fn(0), ..., fn(count - 1) in index order.
+
+    With a pool, results are handed over as they are consumed.  Closing the
+    generator early (the consumer raised) cancels the calls not yet started.
+    """
     if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
+        yield from map(fn, range(count))
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+        yield from pool.map(fn, range(count))

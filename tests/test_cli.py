@@ -4,6 +4,7 @@ import pytest
 
 from dpmargin.cli import main
 from dpmargin.data import load_dataset
+from dpmargin.master import MasterConfig
 
 
 def run(capsys, *argv):
@@ -93,6 +94,27 @@ def test_train_thread_count_does_not_change_output(tmp_path, capsys,
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_train_non_positive_threads_exit_2(tmp_path, capsys, small_dataset, threads):
+    out = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", "--dataset", str(small_dataset),
+                       "--epsilon", "2", "--delta", "1e-6", "--seed", "5",
+                       "--threads", threads, "--out", str(out))
+    assert code == 2
+    assert "threads" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="threads"):
+        MasterConfig(epsilon=2.0, delta=1e-6, threads=int(threads))
+
+
+def test_train_config_non_integer_threads_exit_2(tmp_path, capsys, small_dataset):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dataset": str(small_dataset), "epsilon": 2,
+                               "delta": 1e-6, "seed": 5, "threads": "2"}))
+    code, _, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 2 and "threads" in err
 
 
 def test_train_priv_tune_prints_eps_plus_delta(tmp_path, capsys, monkeypatch):
@@ -239,6 +261,19 @@ def test_privacy_report_prints_the_model_ledger(tmp_path, capsys, monkeypatch, t
                           "--epsilon", "1", "--delta", "1e-5", "--tuner", tuner)
     assert code == 0
     assert json.loads(stdout) == ledger
+
+
+def test_privacy_report_grid_contradicting_n_exit_2(capsys):
+    # margin_grid(30) has 6 entries, so no train run on 30 rows has grid_size 8
+    code, stdout, err = run(capsys, "privacy-report", "--epsilon", "1",
+                            "--delta", "1e-5", "--n", "30", "--grid", "8",
+                            "--tuner", "priv-tune")
+    assert code == 2
+    assert stdout == ""
+    assert "--grid 8" in err and "6" in err
+    code, _, _ = run(capsys, "privacy-report", "--epsilon", "1", "--delta", "1e-5",
+                     "--n", "30", "--grid", "6", "--tuner", "priv-tune")
+    assert code == 0
 
 
 def test_privacy_report_epsilon_too_large_exit_2(capsys):

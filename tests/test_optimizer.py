@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpmargin._seeding import NGD_NOISE, stream
 from dpmargin.data import synth_margin_dataset
 from dpmargin.errors import ResourceError
 from dpmargin.loss import LossSpec, empirical_risk, hinge_sensitivity
@@ -106,6 +107,70 @@ def test_noise_scale_derived_from_privacy_module(monkeypatch):
     ds = planted(n=60)
     model = ngd(LossSpec("hinge", 0.2), ds, mu=0.05, seed=0)
     assert model.provenance.schedule.sigma in calls
+
+
+# ---------------------------------------------------------------- noise draws
+
+class DrawRecorder:
+    """Stands in for a noise stream and counts the normals drawn from it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def standard_normal(self, size):
+        self.drawn += math.prod(size)
+        return self.rng.standard_normal(size)
+
+
+def test_ngd_draws_exactly_t_times_k_normals(monkeypatch):
+    import dpmargin.optimizer as opt
+
+    recorders = []
+    original = opt.stream
+
+    def recording_stream(*args):
+        recorders.append(DrawRecorder(original(*args)))
+        return recorders[-1]
+
+    monkeypatch.setattr(opt, "stream", recording_stream)
+    ds = planted(n=40, d=5, seed=4)
+    model = ngd(LossSpec("hinge", 0.2), ds, mu=0.5, seed=3,
+                overrides=NgdOverrides(T=12))
+    assert model.provenance.schedule.sigma > 0
+    assert [r.drawn for r in recorders] == [12 * ds.dim]
+
+
+def full_block_reference(ds, c, schedule):
+    """The descent loop drawing noise in full 512-row blocks; (averaged, last)."""
+    signed = ds.signed_features()
+    T, sigma, eta = schedule.T, schedule.sigma, schedule.eta
+    rng = stream(schedule.seed, NGD_NOISE)
+    w = np.zeros(ds.dim)
+    averaged = np.zeros(ds.dim)
+    for t in range(T):
+        if t % 512 == 0:
+            block = rng.standard_normal((512, ds.dim)) * sigma
+        active = (signed @ w < c).astype(np.float64)
+        grad = signed.T @ active
+        grad *= -1.0 / c
+        averaged += w
+        grad += block[t % 512]
+        grad *= eta
+        w -= grad
+    return averaged / T, w
+
+
+@pytest.mark.parametrize("T", [1, 12, 511, 512, 513, 1100])
+def test_ngd_noise_matches_full_block_draws(T):
+    ds = planted(n=30, d=4, seed=6)
+    c = 0.2
+    for mode in ("averaged", "last_iterate"):
+        model = ngd(LossSpec("hinge", c), ds, mu=0.5, mode=mode, seed=7,
+                    overrides=NgdOverrides(T=T))
+        averaged, last = full_block_reference(ds, c, model.provenance.schedule)
+        want = averaged if mode == "averaged" else last
+        np.testing.assert_array_equal(model.weights, want)
 
 
 # ---------------------------------------------------------------- dynamics

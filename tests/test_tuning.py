@@ -1,12 +1,21 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from dpmargin._seeding import TNB_RUNS, stream
+from dpmargin._seeding import (
+    CANDIDATE_PICK,
+    CANDIDATE_SEED,
+    SCORE_NOISE,
+    TNB_RUNS,
+    child_seed,
+    stream,
+)
 from dpmargin.data import synth_margin_dataset
 from dpmargin.errors import MissingContextError, ResourceError, UnsupportedError
 from dpmargin.optimizer import LinearModel, Provenance
+from dpmargin.privacy import per_candidate_budget
 from dpmargin.projection import IdentityMap
 from dpmargin.tuning import (
     Candidate,
@@ -169,13 +178,13 @@ def test_iter_tune_noise_std_audit(monkeypatch):
     import dpmargin.tuning as tun
 
     seen = {}
-    original = tun.noisy_argmin
+    original = tun.score_noise
 
-    def spy(values, noise_std, rng):
+    def spy(noise_std, count, rng):
         seen["noise_std"] = noise_std
-        return original(values, noise_std, rng)
+        return original(noise_std, count, rng)
 
-    monkeypatch.setattr(tun, "noisy_argmin", spy)
+    monkeypatch.setattr(tun, "score_noise", spy)
     ds = planted(seed=7)
     cands = id_candidates([0.2, 0.4, 0.8], ds.dim)
     mu = 0.7
@@ -359,13 +368,13 @@ def test_priv_tune_per_run_noise_std(monkeypatch):
     import dpmargin.tuning as tun
 
     seen = {}
-    original = tun.noisy_argmin
+    original = tun.score_noise
 
-    def spy(values, noise_std, rng):
+    def spy(noise_std, count, rng):
         seen["noise_std"] = noise_std
-        return original(values, noise_std, rng)
+        return original(noise_std, count, rng)
 
-    monkeypatch.setattr(tun, "noisy_argmin", spy)
+    monkeypatch.setattr(tun, "score_noise", spy)
     ds = planted(seed=12)
     mu = 0.4
     priv_tune(lambda c, m, s: aligned_model(ds), id_candidates([0.2, 0.4], ds.dim),
@@ -451,13 +460,13 @@ def test_tuner_noise_scales_come_from_privacy_module(monkeypatch):
     monkeypatch.setattr(tun, "per_candidate_budget", budget_spy)
 
     injected = []
-    orig_argmin = tun.noisy_argmin
+    orig_noise = tun.score_noise
 
-    def argmin_spy(values, noise_std, rng):
+    def noise_spy(noise_std, count, rng):
         injected.append(noise_std)
-        return orig_argmin(values, noise_std, rng)
+        return orig_noise(noise_std, count, rng)
 
-    monkeypatch.setattr(tun, "noisy_argmin", argmin_spy)
+    monkeypatch.setattr(tun, "score_noise", noise_spy)
 
     ds = planted(seed=30)
     cands = id_candidates([0.2, 0.4], ds.dim)
@@ -467,3 +476,98 @@ def test_tuner_noise_scales_come_from_privacy_module(monkeypatch):
               ScoreSpec("empirical_zero_one"), seed=1)
     assert len(injected) == 2
     assert all(std in produced for std in injected)
+
+
+# ---------------------------------------------------------------- streamed selection
+
+def random_model_base(ds):
+    """Base whose model depends only on the run seed."""
+
+    def base(candidate, mu, s):
+        rng = np.random.default_rng(s)
+        return LinearModel(rng.standard_normal(ds.dim), ds.dim, Provenance(k=ds.dim))
+
+    return base
+
+
+def test_priv_tune_holds_few_models_at_once():
+    ds = planted(n=20, d=3, seed=16)
+    dist = TnbDist(1, 1e-3)
+    seed = next(s for s in range(200)
+                if 1000 <= sample_tnb(dist, stream(s, TNB_RUNS)) <= 10000)
+    make = random_model_base(ds)
+    live = weakref.WeakValueDictionary()  # models are unhashable, so key by seed
+    peak = [0]
+
+    def base(candidate, mu, s):
+        model = make(candidate, mu, s)
+        live[s] = model
+        peak[0] = max(peak[0], len(live))
+        return model
+
+    priv_tune(base, id_candidates([0.2, 0.4, 0.8], ds.dim), dist, ds, 0.5,
+              ScoreSpec("empirical_zero_one"), seed=seed, threads=1)
+    # the running best, the model last scored and the one being built
+    assert peak[0] <= 3
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_selection_matches_noisy_argmin(threads):
+    ds = planted(n=40, d=4, seed=17)
+    cands = id_candidates([0.1, 0.2, 0.4, 0.8, 1.0], ds.dim)
+    spec = ScoreSpec("empirical_zero_one")
+    mu = 0.5
+    dist = TnbDist(1, 0.05)
+    base = random_model_base(ds)
+
+    def reference(runs, noise_std, seed):
+        seeds = [child_seed(seed, CANDIDATE_SEED, i) for i in range(len(runs))]
+        models = [base(c, None, s) for c, s in zip(runs, seeds)]
+        scores = [score(m, ds, spec) for m in models]
+        pick = noisy_argmin(scores, noise_std, stream(seed, SCORE_NOISE))
+        return models[pick], runs[pick]
+
+    for seed in range(20):
+        k_runs = sample_tnb(dist, stream(seed, TNB_RUNS))
+        picks = stream(seed, CANDIDATE_PICK).integers(0, len(cands), size=k_runs)
+        cases = [
+            (iter_tune(base, cands, ds, mu, spec, seed=seed, threads=threads),
+             reference(cands, per_candidate_budget(mu, len(cands))[1], seed)),
+            (priv_tune(base, cands, dist, ds, mu, spec, seed=seed, threads=threads),
+             reference([cands[int(i)] for i in picks],
+                       per_candidate_budget(mu, 1)[1], seed)),
+        ]
+        for (model, cand), (want_model, want_cand) in cases:
+            assert cand is want_cand
+            np.testing.assert_array_equal(model.weights, want_model.weights)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_selection_first_index_wins_ties(threads):
+    import dpmargin.tuning as tun
+
+    ds = planted(n=30, d=3, seed=18)
+    cands = id_candidates([0.1, 0.2, 0.4, 0.8], ds.dim)
+    w = np.ones(ds.dim)
+
+    def base(candidate, mu, s):
+        return LinearModel(w, ds.dim, Provenance(k=ds.dim))
+
+    _, picked = tun._private_select(base, cands, ds, 0.5, 0.0,
+                                    ScoreSpec("empirical_zero_one"), 0, threads)
+    assert picked is cands[0]
+
+
+def test_pool_stops_launching_runs_when_scoring_fails():
+    ds = planted(n=20, d=3, seed=19)
+    cands = id_candidates([0.1] * 400, ds.dim)
+    calls = []
+
+    def base(candidate, mu, s):
+        calls.append(s)
+        return LinearModel(np.ones(ds.dim), ds.dim)  # no k: penalized score fails
+
+    with pytest.raises(MissingContextError):
+        iter_tune(base, cands, ds, 0.5, ScoreSpec("penalized_population"), seed=0,
+                  threads=2)
+    assert len(calls) < len(cands)
