@@ -145,14 +145,15 @@ def cmd_eval(args) -> int:
 
 def _soft_direction(dataset: Dataset, seed: int) -> np.ndarray:
     """Noiseless hinge-descent direction for ranking points on inseparable data."""
-    model = ngd(LossSpec("hinge", 1.0), dataset, mu=1.0, ref_norm=1.0,
-                mode="last_iterate", seed=seed,
+    model = ngd(1.0, dataset, mu=1.0, mode="last_iterate", seed=seed,
                 overrides=NgdOverrides(T=400, sigma=0.0))
     return model.weights
 
 
 def cmd_margin_curve(args) -> int:
     dataset = load_dataset(args.dataset, args.format or "csv")
+    if args.removals is not None and args.removals < 0:
+        raise ValueError(f"--removals must be >= 0, got {args.removals}")
     seed = _resolve_seed(args)
     removals = args.removals if args.removals is not None else min(dataset.n - 2, 20)
     keep = list(range(dataset.n))
@@ -226,7 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", choices=["empirical", "penalized"])
     p.add_argument("--mode", choices=["averaged", "last"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="candidate pool size (default 1); paid only for long runs with "
+                        "BLAS pinned to one thread, slowed priv-tune's short runs in "
+                        "every measurement")
     p.add_argument("--out")
     p.add_argument("--config", help="JSON run config; CLI flags take precedence")
     p.add_argument("--json-errors", action="store_true")

@@ -70,6 +70,8 @@ class Dataset:
             raise DimensionError("labels must match the number of rows")
         if feats.shape[0] < 1:
             raise DataFormatError("dataset must contain at least one point")
+        if feats.shape[1] < 1:
+            raise DataFormatError("dataset must have at least one feature column")
         if not np.all(np.isfinite(feats)):
             raise DataFormatError("features contain NaN/Inf")
         bad = ~np.isin(labs, (-1, 1))

@@ -7,7 +7,6 @@ quantities n, d and the norm bound; every projection matrix is sampled from
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -18,9 +17,9 @@ import numpy as np
 
 from ._seeding import JL_SIGNS, child_seed
 from .data import Dataset, geometric_margin_oracle, min_outliers_oracle
-from .errors import SizeError
+from .errors import DataFormatError, SizeError
 from .loss import LossSpec, empirical_risk
-from .optimizer import LinearModel, jlgd
+from .optimizer import LinearModel, Provenance, jlgd
 from .privacy import budget_ledger
 from .projection import IdentityMap, projection_dim, sample_jl
 from .tuning import Candidate, ScoreSpec, TnbDist, iter_tune, priv_tune
@@ -33,7 +32,6 @@ class MasterConfig:
     tuner: str = "iterate"  # "iterate" | "priv_tune"
     score_kind: str = "empirical_zero_one"
     output_mode: str | None = None  # default depends on score kind
-    jl_failure_beta: float | None = None  # default 1/n^2
     seed: int = 0
     threads: int = 1
 
@@ -44,6 +42,8 @@ class MasterConfig:
             raise ValueError(f"unknown score kind {self.score_kind!r}")
         if self.output_mode not in (None, "averaged", "last_iterate"):
             raise ValueError(f"unknown output mode {self.output_mode!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.threads, int) or self.threads < 1:
             raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
 
@@ -59,7 +59,6 @@ class MasterConfig:
 class MasterResult:
     model: LinearModel
     gamma_out: float
-    jl_seed_out: int | None
     ledger: dict = field(compare=False)
 
 
@@ -109,18 +108,16 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
     norms = np.linalg.norm(dataset.features, axis=1)
     if norms.max() > b * (1 + 1e-12):
         raise ValueError("dataset is not clipped to its norm bound; run clip_norms")
-    beta = cfg.jl_failure_beta if cfg.jl_failure_beta is not None else 1.0 / (n * n)
-    candidates = build_candidates(n, d, b, beta, cfg.seed)
+    # JL failure probability 1/n^2 per candidate
+    candidates = build_candidates(n, d, b, 1.0 / (n * n), cfg.seed)
     grid_size = len(candidates)
     mode = cfg.resolved_mode()
     spec = ScoreSpec(cfg.score_kind)
 
     def base(candidate: Candidate, mu_run: float, run_seed: int) -> LinearModel:
         # gamma/3 is the margin-preservation target; hard-wired in master mode.
-        model = jlgd(candidate.phi, candidate.gamma / 3.0, dataset, mu_run,
-                     mode=mode, seed=run_seed)
-        prov = dataclasses.replace(model.provenance, gamma=candidate.gamma)
-        return LinearModel(model.weights, model.dim, prov)
+        return jlgd(candidate.phi, candidate.gamma / 3.0, dataset, mu_run,
+                    mode=mode, seed=run_seed)
 
     ledger = budget_ledger(cfg.epsilon, cfg.delta, cfg.tuner, grid_size, n)
     if cfg.tuner == "iterate":
@@ -132,8 +129,7 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
                                   seed=cfg.seed, threads=cfg.threads)
     ledger["score_kind"] = cfg.score_kind
     ledger["output_mode"] = mode
-    return MasterResult(model=model, gamma_out=winner.gamma,
-                        jl_seed_out=winner.phi.seed, ledger=ledger)
+    return MasterResult(model=model, gamma_out=winner.gamma, ledger=ledger)
 
 
 def grid_competitiveness_check(dataset: Dataset, epsilon: float, tol: float = 1e-6) -> float:
@@ -175,7 +171,7 @@ def model_to_json(result: MasterResult, cfg: MasterConfig) -> str:
         "d": result.model.dim,
         "gamma_out": result.gamma_out,
         "k": prov.k,
-        "jl_seed": result.jl_seed_out,
+        "jl_seed": prov.jl_seed,
         "epsilon": cfg.epsilon,
         "delta": cfg.delta,
         "tuner": cfg.tuner,
@@ -189,10 +185,12 @@ def model_to_json(result: MasterResult, cfg: MasterConfig) -> str:
 
 def model_from_json(text: str) -> tuple[LinearModel, dict]:
     doc = json.loads(text)
-    from .optimizer import Provenance
-
-    prov = Provenance(gamma=doc.get("gamma_out"), jl_seed=doc.get("jl_seed"),
-                      k=doc.get("k"), output_mode=doc.get("output_mode"))
+    if not isinstance(doc, dict):
+        raise DataFormatError("model file must be a JSON object")
+    missing = [key for key in ("weights", "d") if key not in doc]
+    if missing:
+        raise DataFormatError(f"model file lacks {', '.join(missing)}")
+    prov = Provenance(jl_seed=doc.get("jl_seed"), k=doc.get("k"))
     model = LinearModel(np.asarray(doc["weights"], dtype=np.float64), int(doc["d"]), prov)
     return model, doc
 

@@ -16,7 +16,7 @@ import numpy as np
 from ._seeding import NGD_NOISE, stream
 from .data import Dataset
 from .errors import DimensionError, ResourceError
-from .loss import LossSpec, hinge_sensitivity
+from .loss import hinge_sensitivity
 from .privacy import gaussian_noise_std
 from .projection import IdentityMap, lift, project_and_clip
 
@@ -50,16 +50,12 @@ class NgdConfig:
     eta: float
     output_mode: str
     seed: int
-    overrides: NgdOverrides = field(default_factory=NgdOverrides)
 
 
 @dataclass(frozen=True)
 class Provenance:
-    gamma: float | None = None
     jl_seed: int | None = None
     k: int | None = None
-    c: float | None = None
-    output_mode: str | None = None
     mu: float | None = None
     schedule: NgdConfig | None = None
 
@@ -85,7 +81,6 @@ def resolve_schedule(
     k: int,
     delta_sens: float,
     mu: float,
-    ref_norm: float,
     mode: str,
     overrides: NgdOverrides,
 ) -> tuple[int, float, float]:
@@ -93,8 +88,9 @@ def resolve_schedule(
 
     Defaults: T = ceil(n^2 mu^2), sigma = n * delta_sens (the per-iteration
     budget mu/sqrt(T) Gaussian calibration), and eta balancing the gradient
-    and noise second moments.  Overriding T recalibrates sigma to
-    delta_sens * sqrt(T) / mu so the composed budget stays mu.
+    and noise second moments for a reference point of norm 1.  Overriding T
+    recalibrates sigma to delta_sens * sqrt(T) / mu so the composed budget
+    stays mu.
     """
     if overrides.T is not None:
         T = int(overrides.T)
@@ -119,20 +115,19 @@ def resolve_schedule(
         noise_term = k * sigma * sigma
         if mode == "last_iterate":
             noise_term *= math.log(1.0 / BETA_OPT)
-        eta = math.sqrt(ref_norm**2 / (T * ((n * delta_sens) ** 2 + noise_term)))
+        eta = math.sqrt(1.0 / (T * ((n * delta_sens) ** 2 + noise_term)))
     return T, sigma, eta
 
 
 def ngd(
-    loss: LossSpec,
+    c: float,
     dataset: Dataset,
     mu: float,
-    ref_norm: float = 1.0,
     mode: str = "averaged",
     seed: int = 0,
     overrides: NgdOverrides | None = None,
 ) -> LinearModel:
-    """Noisy subgradient descent on the summed hinge loss from w0 = 0.
+    """Noisy subgradient descent on the summed hinge loss at `c` from w0 = 0.
 
     Returns the averaged iterate (1/T) sum_{t<T} w_t or the last iterate w_T
     depending on `mode`.  Deterministic given `seed`.  The resolved schedule
@@ -143,8 +138,6 @@ def ngd(
     T * k normals.  The stream fills arrays in order, so the noise does not
     depend on the block sizes.
     """
-    if loss.kind != "hinge":
-        raise ValueError("the optimizer minimizes hinge loss; got " + loss.kind)
     if mode not in ("averaged", "last_iterate"):
         raise ValueError(f"unknown output mode {mode!r}")
     if dataset.n < 2:
@@ -152,11 +145,10 @@ def ngd(
     if not mu > 0:
         raise ValueError("mu must be positive")
     overrides = overrides or NgdOverrides()
-    n, k, c = dataset.n, dataset.dim, loss.c
+    n, k = dataset.n, dataset.dim
     delta_sens = hinge_sensitivity(dataset.norm_bound, c)
-    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, ref_norm, mode, overrides)
-    schedule = NgdConfig(T=T, sigma=sigma, eta=eta, output_mode=mode, seed=seed,
-                         overrides=overrides)
+    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides)
+    schedule = NgdConfig(T=T, sigma=sigma, eta=eta, output_mode=mode, seed=seed)
 
     signed = dataset.signed_features()  # rows y_i x_i
     w = np.zeros(k)
@@ -183,8 +175,7 @@ def ngd(
         grad *= eta
         w -= grad
     out = averaged / T if mode == "averaged" else w
-    return LinearModel(out, k, Provenance(c=c, k=k, output_mode=mode, mu=mu,
-                                          schedule=schedule))
+    return LinearModel(out, k, Provenance(k=k, mu=mu, schedule=schedule))
 
 
 def jlgd(
@@ -204,11 +195,10 @@ def jlgd(
     if phi.d != dataset.dim:
         raise DimensionError(f"projection expects d={phi.d}, dataset has {dataset.dim}")
     if isinstance(phi, IdentityMap):
-        low = dataset  # no projection: norms already within the original ball
-    else:
-        low = project_and_clip(phi, dataset, dataset.norm_bound)
-    model_k = ngd(LossSpec("hinge", c), low, mu, ref_norm=1.0, mode=mode, seed=seed,
-                  overrides=overrides)
-    ambient = lift(phi, model_k.weights)
-    prov = replace(model_k.provenance, jl_seed=phi.seed, k=phi.k)
-    return LinearModel(ambient, dataset.dim, prov)
+        # no projection: norms already within the original ball, and ngd's
+        # model already records k = d and no JL seed
+        return ngd(c, dataset, mu, mode=mode, seed=seed, overrides=overrides)
+    low = project_and_clip(phi, dataset, dataset.norm_bound)
+    model_k = ngd(c, low, mu, mode=mode, seed=seed, overrides=overrides)
+    prov = replace(model_k.provenance, jl_seed=phi.seed)
+    return LinearModel(lift(phi, model_k.weights), dataset.dim, prov)

@@ -2,11 +2,26 @@ import numpy as np
 import pytest
 
 from dpmargin.data import Dataset
+from dpmargin.optimizer import LinearModel
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def built_models(monkeypatch):
+    """The dim of every LinearModel constructed while the test runs, in order."""
+    built = []
+    original = LinearModel.__post_init__
+
+    def counting(self):
+        built.append(self.dim)
+        original(self)
+
+    monkeypatch.setattr(LinearModel, "__post_init__", counting)
+    return built
 
 
 def make_dataset(features, labels, bound=None):

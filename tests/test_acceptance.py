@@ -90,8 +90,7 @@ def test_criterion_3_noiseless_convergence():
     for seed in range(10):
         phi = sample_jl(k, d, seed=7000 + seed)
         proj = project_and_clip(phi, ds, ds.norm_bound)
-        model = ngd(LossSpec("hinge", gamma), proj, mu=1.0, ref_norm=1.0,
-                    mode="last_iterate", seed=seed,
+        model = ngd(gamma, proj, mu=1.0, mode="last_iterate", seed=seed,
                     overrides=NgdOverrides(T=500, sigma=0.0))
         risks.append(empirical_risk(model.weights, proj, LossSpec("hinge", gamma)))
     print(f"\n  noiseless averaged hinge risks: max={max(risks):.6f}")

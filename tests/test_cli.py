@@ -117,6 +117,29 @@ def test_train_config_non_integer_threads_exit_2(tmp_path, capsys, small_dataset
     assert code == 2 and "threads" in err
 
 
+@pytest.mark.parametrize("seed", [7.9, "7", True])
+def test_train_config_non_integer_seed_exit_2(tmp_path, capsys, small_dataset, seed):
+    cfg = tmp_path / "run.json"
+    out = tmp_path / "m.json"
+    cfg.write_text(json.dumps({"dataset": str(small_dataset), "epsilon": 2,
+                               "delta": 1e-6, "seed": seed, "out": str(out)}))
+    code, _, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 2 and "seed" in err
+    assert not out.exists()
+
+
+def test_train_zero_feature_libsvm_exit_1(tmp_path, capsys):
+    data = tmp_path / "labels_only.libsvm"
+    data.write_text("1\n-1\n1\n")
+    out = tmp_path / "m.json"
+    code, stdout, err = run(capsys, "train", "--dataset", str(data), "--format",
+                            "libsvm", "--epsilon", "2", "--delta", "1e-6",
+                            "--seed", "5", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "feature" in err
+    assert "risk" not in stdout and not out.exists()
+
+
 def test_train_priv_tune_prints_eps_plus_delta(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     data = tmp_path / "tiny.csv"
@@ -188,6 +211,25 @@ def test_eval_dimension_mismatch_fails(tmp_path, capsys, small_dataset):
     assert code in (1, 2)
 
 
+@pytest.mark.parametrize("doc", [
+    {"d": 3, "gamma_out": 0.3},  # no weights
+    {"weights": [0.0] * 8},  # no d
+    [1, 2, 3],  # not an object
+])
+@pytest.mark.parametrize("json_errors", [False, True])
+def test_eval_malformed_model_file_exit_1(tmp_path, capsys, small_dataset, doc,
+                                          json_errors):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(doc))
+    argv = ["eval", "--model", str(model), "--dataset", str(small_dataset)]
+    code, _, err = run(capsys, *argv, *(["--json-errors"] if json_errors else []))
+    assert code == 1
+    if json_errors:
+        assert "model file" in json.loads(err)["error"]
+    else:
+        assert err.startswith("error: model file")
+
+
 # ---------------------------------------------------------------- margin curve
 
 def test_margin_curve_monotone_with_outliers(tmp_path, capsys):
@@ -218,6 +260,17 @@ def test_margin_curve_separable_first_value_positive(tmp_path, capsys):
     assert code == 0
     first = float(out.read_text().strip().splitlines()[1].split(",")[1])
     assert first >= 0.4 - 1e-4
+
+
+def test_margin_curve_negative_removals_exit_2(tmp_path, capsys):
+    data = tmp_path / "sep.csv"
+    run(capsys, "synth", "--n", "40", "--d", "4", "--gamma", "0.4", "--seed", "19",
+        "--out", str(data))
+    out = tmp_path / "curve.csv"
+    code, _, err = run(capsys, "margin-curve", "--dataset", str(data),
+                       "--removals", "-2", "--seed", "1", "--out", str(out))
+    assert code == 2 and "--removals" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- privacy report

@@ -296,3 +296,12 @@ def test_load_rejects_single_row(tmp_path):
     path.write_text("1.0,0.5,+1\n")
     with pytest.raises(DataFormatError, match="two"):
         load_dataset(path, "csv")
+
+
+def test_dataset_rejects_zero_feature_columns(tmp_path):
+    with pytest.raises(DataFormatError, match="feature"):
+        Dataset(np.zeros((3, 0)), np.array([1, -1, 1]), 1.0)
+    path = tmp_path / "labels_only.libsvm"
+    path.write_text("1\n-1\n1\n")
+    with pytest.raises(DataFormatError, match="feature"):
+        load_dataset(path, "libsvm")

@@ -124,6 +124,14 @@ def test_master_default_jl_failure_beta(monkeypatch):
     assert all(beta == 1.0 / ds.n**2 for beta in seen)
 
 
+def test_master_builds_one_model_per_identity_base_run(built_models):
+    ds = small_synth(seed=8)
+    assert all(isinstance(c.phi, IdentityMap)
+               for c in build_candidates(ds.n, ds.dim, 1.0, 1.0 / ds.n**2, 1))
+    dp_adaptive_margin(ds, MasterConfig(epsilon=1.0, delta=1e-5, seed=1))
+    assert built_models == [ds.dim] * len(margin_grid(ds.n))
+
+
 def test_master_projections_sampled_before_any_training(monkeypatch):
     events = []
     orig_sample = master_mod.sample_jl

@@ -27,7 +27,7 @@ def planted(n=120, d=8, gamma=0.4, outliers=0, seed=0):
 
 def test_schedule_defaults():
     n, k, delta_sens, mu = 50, 6, 2.0, 0.3
-    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, 1.0, "averaged",
+    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, "averaged",
                                      NgdOverrides())
     assert T == math.ceil((n * mu) ** 2)
     assert sigma == n * delta_sens
@@ -37,7 +37,7 @@ def test_schedule_defaults():
 
 
 def test_schedule_last_iterate_eta_shrinks():
-    args = (50, 6, 2.0, 0.3, 1.0)
+    args = (50, 6, 2.0, 0.3)
     _, sigma, eta_avg = resolve_schedule(*args, "averaged", NgdOverrides())
     T, _, eta_last = resolve_schedule(*args, "last_iterate", NgdOverrides())
     expected = math.sqrt(
@@ -49,31 +49,31 @@ def test_schedule_last_iterate_eta_shrinks():
 
 def test_schedule_t_override_recalibrates_sigma():
     n, k, delta_sens, mu = 50, 6, 2.0, 0.3
-    T, sigma, _ = resolve_schedule(n, k, delta_sens, mu, 1.0, "averaged",
+    T, sigma, _ = resolve_schedule(n, k, delta_sens, mu, "averaged",
                                    NgdOverrides(T=123))
     assert T == 123
     assert sigma == pytest.approx(delta_sens * math.sqrt(123) / mu, rel=1e-12)
 
 
 def test_schedule_minimum_one_iteration():
-    T, _, _ = resolve_schedule(5, 2, 1.0, 1e-4, 1.0, "averaged", NgdOverrides())
+    T, _, _ = resolve_schedule(5, 2, 1.0, 1e-4, "averaged", NgdOverrides())
     assert T == 1
 
 
 def test_iteration_cap_resource_error(monkeypatch):
     ds = planted(n=200)
     with pytest.raises(ResourceError, match="DPMARGIN_T_CAP"):
-        ngd(LossSpec("hinge", 0.1), ds, mu=100.0)
+        ngd(0.1, ds, mu=100.0)
     monkeypatch.setenv("DPMARGIN_T_CAP", "500")
     with pytest.raises(ResourceError):
-        ngd(LossSpec("hinge", 0.1), ds, mu=0.2)  # T = 1600 > 500 now
+        ngd(0.1, ds, mu=0.2)  # T = 1600 > 500 now
 
 
 # ---------------------------------------------------------------- noise audit
 
 def test_noise_audit_default_is_n_delta():
     ds = planted(n=80)
-    schedule = ngd(LossSpec("hinge", 0.2), ds, mu=0.05, seed=1).provenance.schedule
+    schedule = ngd(0.2, ds, mu=0.05, seed=1).provenance.schedule
     delta_sens = hinge_sensitivity(ds.norm_bound, 0.2)
     assert schedule.T == math.ceil((ds.n * 0.05) ** 2)
     assert schedule.sigma == ds.n * delta_sens
@@ -82,7 +82,7 @@ def test_noise_audit_default_is_n_delta():
 def test_noise_audit_t_override_is_sqrt_t_over_mu():
     ds = planted(n=80)
     mu = 0.05
-    model = ngd(LossSpec("hinge", 0.2), ds, mu=mu, seed=1, overrides=NgdOverrides(T=77))
+    model = ngd(0.2, ds, mu=mu, seed=1, overrides=NgdOverrides(T=77))
     delta_sens = hinge_sensitivity(ds.norm_bound, 0.2)
     assert model.provenance.schedule.T == 77
     assert model.provenance.schedule.sigma == pytest.approx(
@@ -105,7 +105,7 @@ def test_noise_scale_derived_from_privacy_module(monkeypatch):
 
     monkeypatch.setattr(opt, "gaussian_noise_std", spy)
     ds = planted(n=60)
-    model = ngd(LossSpec("hinge", 0.2), ds, mu=0.05, seed=0)
+    model = ngd(0.2, ds, mu=0.05, seed=0)
     assert model.provenance.schedule.sigma in calls
 
 
@@ -135,8 +135,7 @@ def test_ngd_draws_exactly_t_times_k_normals(monkeypatch):
 
     monkeypatch.setattr(opt, "stream", recording_stream)
     ds = planted(n=40, d=5, seed=4)
-    model = ngd(LossSpec("hinge", 0.2), ds, mu=0.5, seed=3,
-                overrides=NgdOverrides(T=12))
+    model = ngd(0.2, ds, mu=0.5, seed=3, overrides=NgdOverrides(T=12))
     assert model.provenance.schedule.sigma > 0
     assert [r.drawn for r in recorders] == [12 * ds.dim]
 
@@ -166,7 +165,7 @@ def test_ngd_noise_matches_full_block_draws(T):
     ds = planted(n=30, d=4, seed=6)
     c = 0.2
     for mode in ("averaged", "last_iterate"):
-        model = ngd(LossSpec("hinge", c), ds, mu=0.5, mode=mode, seed=7,
+        model = ngd(c, ds, mu=0.5, mode=mode, seed=7,
                     overrides=NgdOverrides(T=T))
         averaged, last = full_block_reference(ds, c, model.provenance.schedule)
         want = averaged if mode == "averaged" else last
@@ -194,7 +193,7 @@ def test_noiseless_matches_independent_oracle():
     T = 200
     delta_sens = hinge_sensitivity(ds.norm_bound, c)
     eta = 1.0 / (ds.n * delta_sens * math.sqrt(T))
-    model = ngd(LossSpec("hinge", c), ds, mu=1.0, mode="last_iterate", seed=0,
+    model = ngd(c, ds, mu=1.0, mode="last_iterate", seed=0,
                 overrides=NgdOverrides(T=T, sigma=0.0, eta=eta))
     oracle_w = noiseless_descent_oracle(ds, c, T, eta)
     np.testing.assert_allclose(model.weights, oracle_w, rtol=1e-9, atol=1e-12)
@@ -205,7 +204,7 @@ def test_noiseless_t500_hinge_risk_below_one_percent():
     risks = []
     for seed in range(3):
         ds = planted(n=100, d=10, gamma=0.4, seed=seed)
-        model = ngd(LossSpec("hinge", 0.4), ds, mu=1.0, mode="last_iterate",
+        model = ngd(0.4, ds, mu=1.0, mode="last_iterate",
                     seed=seed, overrides=NgdOverrides(T=500, sigma=0.0))
         risks.append(empirical_risk(model.weights, ds, LossSpec("hinge", 0.4)))
     assert max(risks) <= 0.01
@@ -215,7 +214,7 @@ def test_single_step_is_minus_eta_g0():
     ds = planted(n=30, d=4, gamma=0.3, seed=2)
     c = 0.3
     eta = 0.001
-    model = ngd(LossSpec("hinge", c), ds, mu=1.0, mode="last_iterate", seed=0,
+    model = ngd(c, ds, mu=1.0, mode="last_iterate", seed=0,
                 overrides=NgdOverrides(T=1, sigma=0.0, eta=eta))
     g0 = np.zeros(ds.dim)
     for i in range(ds.n):  # every point is active at w0 = 0
@@ -225,10 +224,10 @@ def test_single_step_is_minus_eta_g0():
 
 def test_same_seed_identical_trajectories():
     ds = planted(n=60, d=6, gamma=0.3, seed=5)
-    a = ngd(LossSpec("hinge", 0.1), ds, mu=0.08, seed=42)
-    b = ngd(LossSpec("hinge", 0.1), ds, mu=0.08, seed=42)
+    a = ngd(0.1, ds, mu=0.08, seed=42)
+    b = ngd(0.1, ds, mu=0.08, seed=42)
     np.testing.assert_array_equal(a.weights, b.weights)
-    c = ngd(LossSpec("hinge", 0.1), ds, mu=0.08, seed=43)
+    c = ngd(0.1, ds, mu=0.08, seed=43)
     assert not np.array_equal(a.weights, c.weights)
 
 
@@ -239,7 +238,7 @@ def test_averaged_excess_risk_decreases_in_t():
     for T in (50, 200, 800):
         delta_sens = hinge_sensitivity(ds.norm_bound, c)
         eta = 1.0 / (ds.n * delta_sens * math.sqrt(T))
-        model = ngd(LossSpec("hinge", c), ds, mu=1.0, mode="averaged", seed=0,
+        model = ngd(c, ds, mu=1.0, mode="averaged", seed=0,
                     overrides=NgdOverrides(T=T, sigma=0.0, eta=eta))
         risks.append(empirical_risk(model.weights, ds, LossSpec("hinge", c)))
     assert risks[0] >= risks[1] >= risks[2]
@@ -256,7 +255,7 @@ def test_jlgd_classification_agreement_unclipped():
     assert unclipped.any()
     model = jlgd(phi, 0.15, ds, mu=0.4, mode="averaged", seed=11)
     # reproduce the internal k-dim run (same inputs, same seed)
-    low = ngd(LossSpec("hinge", 0.15), proj, mu=0.4, mode="averaged", seed=11)
+    low = ngd(0.15, proj, mu=0.4, mode="averaged", seed=11)
     # lifted weights are Phi^T w_k, so <w_lift, x> = <w_k, Phi x> exactly
     lifted_scores = ds.features @ model.weights
     low_scores = proj.features @ low.weights
@@ -306,11 +305,23 @@ def test_inlier_outlier_empirical_bound():
         assert risk <= bound
 
 
+def test_jlgd_builds_one_model_per_identity_run(built_models):
+    ds = planted(n=40, d=6, gamma=0.4, seed=1)
+    jlgd(IdentityMap(6), 0.1, ds, mu=0.25, seed=3)
+    assert built_models == [6]
+
+
+def test_jlgd_builds_one_model_per_space_for_a_projection(built_models):
+    ds = planted(n=40, d=30, gamma=0.4, seed=1)
+    jlgd(sample_jl(10, 30, seed=99), 0.13, ds, mu=0.3, seed=3)
+    assert built_models == [10, 30]  # the k-dim run, then the lifted model
+
+
 # ---------------------------------------------------------------- model type
 
 def test_linear_model_validation():
     with pytest.raises(Exception):
         LinearModel(np.array([np.inf, 0.0]), 2)
-    model = LinearModel(np.array([1.0, 2.0]), 2, Provenance(gamma=0.5))
+    model = LinearModel(np.array([1.0, 2.0]), 2, Provenance())
     with pytest.raises(ValueError):
         model.weights[0] = 5.0
