@@ -44,7 +44,8 @@ class MasterConfig:
             raise ValueError(f"unknown output mode {self.output_mode!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.threads, int) or self.threads < 1:
+        if (isinstance(self.threads, bool) or not isinstance(self.threads, int)
+                or self.threads < 1):
             raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
 
     def resolved_mode(self) -> str:
@@ -184,7 +185,10 @@ def model_to_json(result: MasterResult, cfg: MasterConfig) -> str:
 
 
 def model_from_json(text: str) -> tuple[LinearModel, dict]:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"model file is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DataFormatError("model file must be a JSON object")
     missing = [key for key in ("weights", "d") if key not in doc]

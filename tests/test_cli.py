@@ -111,10 +111,11 @@ def test_train_non_positive_threads_exit_2(tmp_path, capsys, small_dataset, thre
 
 def test_train_config_non_integer_threads_exit_2(tmp_path, capsys, small_dataset):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"dataset": str(small_dataset), "epsilon": 2,
-                               "delta": 1e-6, "seed": 5, "threads": "2"}))
-    code, _, err = run(capsys, "train", "--config", str(cfg))
-    assert code == 2 and "threads" in err
+    for threads in ("2", True):
+        cfg.write_text(json.dumps({"dataset": str(small_dataset), "epsilon": 2,
+                                   "delta": 1e-6, "seed": 5, "threads": threads}))
+        code, _, err = run(capsys, "train", "--config", str(cfg))
+        assert code == 2 and "threads" in err
 
 
 @pytest.mark.parametrize("seed", [7.9, "7", True])
@@ -215,12 +216,13 @@ def test_eval_dimension_mismatch_fails(tmp_path, capsys, small_dataset):
     {"d": 3, "gamma_out": 0.3},  # no weights
     {"weights": [0.0] * 8},  # no d
     [1, 2, 3],  # not an object
+    "not json",  # written as is
 ])
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_eval_malformed_model_file_exit_1(tmp_path, capsys, small_dataset, doc,
                                           json_errors):
     model = tmp_path / "bad.json"
-    model.write_text(json.dumps(doc))
+    model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = ["eval", "--model", str(model), "--dataset", str(small_dataset)]
     code, _, err = run(capsys, *argv, *(["--json-errors"] if json_errors else []))
     assert code == 1

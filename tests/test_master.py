@@ -86,13 +86,15 @@ def test_master_end_to_end_low_risk():
 
 
 def test_master_deterministic_across_threads():
-    ds = small_synth(seed=6)
-    runs = [
-        dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, seed=9, threads=t))
-        for t in (1, 8)
-    ]
-    np.testing.assert_array_equal(runs[0].model.weights, runs[1].model.weights)
-    assert runs[0].gamma_out == runs[1].gamma_out
+    # n = 80 < 2d = 200: every base run of the second dataset takes the Gram form
+    for ds in (small_synth(seed=6), small_synth(n=80, d=100, seed=6)):
+        runs = [
+            dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, seed=9,
+                                                threads=t))
+            for t in (1, 8)
+        ]
+        np.testing.assert_array_equal(runs[0].model.weights, runs[1].model.weights)
+        assert runs[0].gamma_out == runs[1].gamma_out
 
 
 def test_master_hinge_parameter_is_gamma_over_three(monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmargin._seeding import NGD_NOISE, stream
 from dpmargin.data import synth_margin_dataset
@@ -12,11 +14,16 @@ from dpmargin.optimizer import (
     LinearModel,
     NgdOverrides,
     Provenance,
+    _feature_descent,
+    _gram_descent,
+    _gram_pays,
     jlgd,
     ngd,
     resolve_schedule,
 )
-from dpmargin.projection import IdentityMap, project_and_clip, sample_jl
+from dpmargin.projection import IdentityMap, lift, project_and_clip, sample_jl
+
+from conftest import random_unit_dataset
 
 
 def planted(n=120, d=8, gamma=0.4, outliers=0, seed=0):
@@ -134,10 +141,11 @@ def test_ngd_draws_exactly_t_times_k_normals(monkeypatch):
         return recorders[-1]
 
     monkeypatch.setattr(opt, "stream", recording_stream)
-    ds = planted(n=40, d=5, seed=4)
-    model = ngd(0.2, ds, mu=0.5, seed=3, overrides=NgdOverrides(T=12))
-    assert model.provenance.schedule.sigma > 0
-    assert [r.drawn for r in recorders] == [12 * ds.dim]
+    for ds in (planted(n=40, d=5, seed=4), planted(n=30, d=40, seed=4)):
+        recorders.clear()
+        model = ngd(0.2, ds, mu=0.5, seed=3, overrides=NgdOverrides(T=12))
+        assert model.provenance.schedule.sigma > 0
+        assert [r.drawn for r in recorders] == [12 * ds.dim]
 
 
 def full_block_reference(ds, c, schedule):
@@ -162,14 +170,62 @@ def full_block_reference(ds, c, schedule):
 
 @pytest.mark.parametrize("T", [1, 12, 511, 512, 513, 1100])
 def test_ngd_noise_matches_full_block_draws(T):
-    ds = planted(n=30, d=4, seed=6)
+    # n >= 2d runs in feature space, bit for bit the reference loop; n < 2d
+    # runs in the Gram form from T = 12 on, whose sums run in another order
     c = 0.2
+    cases = [(planted(n=30, d=4, seed=6), None), (planted(n=30, d=40, seed=6), None),
+             (planted(n=30, d=40, seed=6), 0.0)]
+    for ds, sigma in cases:
+        for mode in ("averaged", "last_iterate"):
+            model = ngd(c, ds, mu=0.5, mode=mode, seed=7,
+                        overrides=NgdOverrides(T=T, sigma=sigma))
+            averaged, last = full_block_reference(ds, c, model.provenance.schedule)
+            want = averaged if mode == "averaged" else last
+            if ds.n >= 2 * ds.dim:
+                np.testing.assert_array_equal(model.weights, want)
+            else:
+                np.testing.assert_allclose(model.weights, want, rtol=1e-12)
+
+
+def test_gram_form_runs_where_it_pays():
+    # (n, k, T) of the benchmark shapes: highdim's identity and k = 2180 runs
+    # and the smoke highdim shape take the Gram form; highdim's k = 545 and
+    # k = 254 runs, lowdim, privtune-small and one-step runs do not
+    assert _gram_pays(1500, 3000, 849) and _gram_pays(1500, 2180, 849)
+    assert _gram_pays(300, 1000, 41)
+    assert not _gram_pays(1500, 545, 849) and not _gram_pays(1500, 254, 849)
+    assert not _gram_pays(4000, 20, 22272) and not _gram_pays(100, 20, 12)
+    assert not _gram_pays(1500, 3000, 1) and not _gram_pays(1500, 3000, 12)
+
+
+def test_gram_form_jl_run_matches_reference():
+    # k = 25 > n/2 = 20: the k-dim run inside jlgd takes the Gram form
+    ds = planted(n=40, d=60, gamma=0.4, seed=8)
+    phi = sample_jl(25, 60, seed=5)
+    low = project_and_clip(phi, ds, ds.norm_bound)
     for mode in ("averaged", "last_iterate"):
-        model = ngd(c, ds, mu=0.5, mode=mode, seed=7,
-                    overrides=NgdOverrides(T=T))
-        averaged, last = full_block_reference(ds, c, model.provenance.schedule)
-        want = averaged if mode == "averaged" else last
-        np.testing.assert_array_equal(model.weights, want)
+        model = jlgd(phi, 0.13, ds, mu=0.5, mode=mode, seed=2)
+        averaged, last = full_block_reference(low, 0.13, model.provenance.schedule)
+        want = lift(phi, averaged if mode == "averaged" else last)
+        np.testing.assert_allclose(model.weights, want, rtol=1e-12,
+                                   atol=1e-14 * np.abs(want).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 24), k=st.integers(1, 24), T=st.integers(1, 600),
+       c=st.floats(0.01, 2.0), averaged=st.booleans(), data_seed=st.integers(0, 2**16))
+def test_both_descent_forms_match_reference(n, k, T, c, averaged, data_seed):
+    # the output is (1/T) sum_{t<T} w_t or w_T in both forms, whichever runs
+    ds = random_unit_dataset(np.random.default_rng(data_seed), n, k)
+    mode = "averaged" if averaged else "last_iterate"
+    schedule = ngd(c, ds, mu=0.5, mode=mode, seed=data_seed,
+                   overrides=NgdOverrides(T=T)).provenance.schedule
+    want = full_block_reference(ds, c, schedule)[0 if averaged else 1]
+    for descent in (_feature_descent, _gram_descent):
+        got = descent(ds.signed_features(), c, T, schedule.sigma, schedule.eta,
+                      averaged, stream(data_seed, NGD_NOISE))
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 # ---------------------------------------------------------------- dynamics
