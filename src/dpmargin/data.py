@@ -8,6 +8,7 @@ private training path reads them.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -31,6 +32,8 @@ EXHAUSTIVE_CAP = 16
 DEFAULT_TOL = 1e-6
 
 _ORACLE_MAX_ITER = 200_000
+
+_GRAM_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,7 @@ class Dataset:
     labels: np.ndarray
     norm_bound: float
     _signed: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -105,6 +109,15 @@ class Dataset:
     def signed_features(self) -> np.ndarray:
         """Rows y_i * x_i; the only geometry the margin machinery needs."""
         return self._signed
+
+    def gram(self) -> np.ndarray:
+        """G = S S^T for the signed rows S, built on first use and then shared."""
+        with _GRAM_LOCK:
+            if self._gram is None:
+                gram = self._signed @ self._signed.T
+                gram.setflags(write=False)
+                object.__setattr__(self, "_gram", gram)
+        return self._gram
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(sorted(indices), dtype=np.intp)

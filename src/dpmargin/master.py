@@ -194,9 +194,23 @@ def model_from_json(text: str) -> tuple[LinearModel, dict]:
     missing = [key for key in ("weights", "d") if key not in doc]
     if missing:
         raise DataFormatError(f"model file lacks {', '.join(missing)}")
+    weights, dim = doc["weights"], doc["d"]
+    if not isinstance(weights, list) or not all(map(_finite_number, weights)):
+        raise DataFormatError("model file weights must be a list of finite numbers")
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise DataFormatError(f"model file d must be an integer, got {dim!r}")
     prov = Provenance(jl_seed=doc.get("jl_seed"), k=doc.get("k"))
-    model = LinearModel(np.asarray(doc["weights"], dtype=np.float64), int(doc["d"]), prov)
+    model = LinearModel(np.asarray(weights, dtype=np.float64), dim, prov)
     return model, doc
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def training_risk(model: LinearModel, dataset: Dataset) -> float:

@@ -141,11 +141,13 @@ def ngd(
     The same descent runs in one of two forms, picked from (n, k, T) alone.
     The feature-space form keeps w and costs two n x k matrix-vector
     products a step.  The Gram form keeps the scores S w (S the signed
-    rows), costs one n x n product a step after building G = S S^T once, and
+    rows), costs at most one n x n product a step with G = S S^T, and
     rebuilds w at the end; it runs when n < 2k and T is long enough to repay
-    G (see `_gram_pays`).  Its sums run in another order, so its weights
-    agree with the feature-space form to about 1e-15 relative, not bit for
-    bit.
+    G (see `_gram_pays`).  G is built once per dataset (`Dataset.gram`), so
+    every Gram-form run on one dataset shares it, and the n x n product runs
+    only at steps whose hinge active set differs from the previous step's.
+    Its sums run in another order, so its weights agree with the
+    feature-space form to about 1e-15 relative, not bit for bit.
     """
     if mode not in ("averaged", "last_iterate"):
         raise ValueError(f"unknown output mode {mode!r}")
@@ -161,7 +163,7 @@ def ngd(
 
     descent = _gram_descent if _gram_pays(n, k, T) else _feature_descent
     rng = stream(seed, NGD_NOISE)
-    out = descent(dataset.signed_features(), c, T, sigma, eta, mode == "averaged", rng)
+    out = descent(dataset, c, T, sigma, eta, mode == "averaged", rng)
     return LinearModel(out, k, Provenance(k=k, mu=mu, schedule=schedule))
 
 
@@ -175,12 +177,18 @@ def _gram_pays(n: int, k: int, T: int) -> bool:
     x86 host); with 16 for a margin, the savings must exceed n^2 k / 16
     over the T steps.  So short runs stay in feature space: T < 63 at
     n = 1500, k = 3000.
+
+    The rule charges the Gram form one n x n product and one G every run.
+    `_gram_descent` skips the product while the active set holds, and G is
+    shared by every run on a dataset, so the rule is conservative: it may
+    keep in feature space a run that the Gram form would finish sooner.
     """
     return 16 * T * (2 * k - n) > n * k
 
 
-def _feature_descent(signed, c, T, sigma, eta, averaging, rng) -> np.ndarray:
+def _feature_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
     """The descent on w: scores and gradient from S every step."""
+    signed = dataset.signed_features()
     k = signed.shape[1]
     w = np.zeros(k)
     averaged = np.zeros(k)
@@ -207,20 +215,29 @@ def _feature_descent(signed, c, T, sigma, eta, averaging, rng) -> np.ndarray:
     return averaged / T if averaging else w
 
 
-def _gram_descent(signed, c, T, sigma, eta, averaging, rng) -> np.ndarray:
+def _gram_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
     """The descent on the scores s = S w, rebuilding w once at the end.
 
     w_t = -eta sum_{u<t} (S^T a_u / -c + noise_u) for the active sets a_u,
     so w_T takes each step's terms once and sum_{t<T} w_t takes step u's
     terms T - 1 - u times.  The loop sums those weighted active sets and noise
     rows and updates s <- s - eta (G a / -c + S noise_t).
+
+    G a / -c depends on the step only through the active set, which often
+    stays put for many steps (all rows, or the rows that violate the margin).
+    It is recomputed only when the set changes; the step is then built from
+    it with the same operations in the same order as when it is recomputed
+    every step, so the weights are the same bit for bit.
     """
+    signed, gram = dataset.signed_features(), dataset.gram()
     n, k = signed.shape
-    gram = signed @ signed.T
     scores = np.zeros(n)
     counts = np.zeros(n)  # weighted sum of the active sets
     noise = np.zeros(k)  # weighted sum of the noise rows
+    pull = np.empty(n)  # G a / -c for the current active set
     step = np.empty(n)
+    weighted = np.empty(n)
+    held = None  # the active set `pull` was computed for
     inv_c = -1.0 / c
     for start in range(0, T, _NOISE_BLOCK):
         rows = min(_NOISE_BLOCK, T - start)
@@ -232,15 +249,20 @@ def _gram_descent(signed, c, T, sigma, eta, averaging, rng) -> np.ndarray:
             noise += weights @ block
             block_scores = block @ signed.T  # row t is S noise_t
         for t in range(rows):
-            active = (scores < c).astype(np.float64)  # zero subgradient at the kink
-            np.dot(gram, active, out=step)
-            step *= inv_c
+            mask = scores < c  # zero subgradient at the kink
+            if held is None or not np.array_equal(mask, held):
+                held = mask
+                active = mask.astype(np.float64)
+                np.dot(gram, active, out=pull)
+                pull *= inv_c
             if sigma > 0.0:
-                step += block_scores[t]
+                np.add(pull, block_scores[t], out=step)
+            else:
+                step[:] = pull
             step *= eta
             scores -= step
-            active *= weights[t]
-            counts += active
+            np.multiply(active, weights[t], out=weighted)
+            counts += weighted
     w = signed.T @ counts
     w *= inv_c
     w += noise

@@ -24,6 +24,21 @@ def built_models(monkeypatch):
     return built
 
 
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """(dataset, G) for every Dataset.gram call while the test runs, in order."""
+    calls = []
+    original = Dataset.gram
+
+    def recording(self):
+        gram = original(self)
+        calls.append((self, gram))
+        return gram
+
+    monkeypatch.setattr(Dataset, "gram", recording)
+    return calls
+
+
 def make_dataset(features, labels, bound=None):
     feats = np.asarray(features, dtype=np.float64)
     if bound is None:

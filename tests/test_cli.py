@@ -217,6 +217,13 @@ def test_eval_dimension_mismatch_fails(tmp_path, capsys, small_dataset):
     {"weights": [0.0] * 8},  # no d
     [1, 2, 3],  # not an object
     "not json",  # written as is
+    {"weights": [1, None], "d": 2},  # null weight
+    {"weights": "ab", "d": 2},  # not a list
+    {"weights": [0.0, True], "d": 2},  # bool weight
+    {"weights": [0.0, 10**400], "d": 2},  # beyond the float range
+    {"weights": [0.0] * 8, "d": "x"},
+    {"weights": [0.0] * 8, "d": 2.7},
+    {"weights": [0.0] * 8, "d": True},
 ])
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_eval_malformed_model_file_exit_1(tmp_path, capsys, small_dataset, doc,

@@ -85,16 +85,35 @@ def test_master_end_to_end_low_risk():
     assert result.ledger["guarantee"] == "(2, 1e-06)-DP"
 
 
-def test_master_deterministic_across_threads():
-    # n = 80 < 2d = 200: every base run of the second dataset takes the Gram form
-    for ds in (small_synth(seed=6), small_synth(n=80, d=100, seed=6)):
-        runs = [
-            dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, seed=9,
-                                                threads=t))
-            for t in (1, 8)
-        ]
-        np.testing.assert_array_equal(runs[0].model.weights, runs[1].model.weights)
-        assert runs[0].gamma_out == runs[1].gamma_out
+def test_master_deterministic_across_threads(gram_calls):
+    # n = 80 < 2d = 200: every base run of the second shape takes the Gram form,
+    # and its 8 identity runs share the dataset's G.  Each pool size gets a
+    # fresh dataset, so at threads > 1 the first runs build G concurrently.
+    for shape in (dict(seed=6), dict(n=80, d=100, seed=6)):
+        runs = []
+        for threads in (1, 2, 8):
+            gram_calls.clear()
+            ds = small_synth(**shape)
+            runs.append(dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6,
+                                                            seed=9, threads=threads)))
+            if ds.n < 2 * ds.dim:
+                assert len(gram_calls) == 8 and all(d is ds for d, _ in gram_calls)
+                assert all(g is gram_calls[0][1] for _, g in gram_calls)
+        for run in runs[1:]:
+            np.testing.assert_array_equal(runs[0].model.weights, run.model.weights)
+            assert runs[0].gamma_out == run.gamma_out
+
+
+def test_master_builds_gram_once_per_dataset(gram_calls):
+    # n = 80, d = 400: 6 identity runs on the data and 2 JL runs (k = 246,
+    # 158), each on its own projected dataset, all in the Gram form
+    ds = small_synth(n=80, d=400, seed=6)
+    dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, seed=9))
+    assert len(gram_calls) == 8
+    datasets = {id(d): d for d, _ in gram_calls}
+    grams = {id(g): g for _, g in gram_calls}
+    assert len(datasets) == len(grams) == 3
+    assert sum(d is ds for d, _ in gram_calls) == 6
 
 
 def test_master_hinge_parameter_is_gamma_over_three(monkeypatch):

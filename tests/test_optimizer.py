@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmargin._seeding import NGD_NOISE, stream
-from dpmargin.data import synth_margin_dataset
+from dpmargin.data import Dataset, synth_margin_dataset
 from dpmargin.errors import ResourceError
 from dpmargin.loss import LossSpec, empirical_risk, hinge_sensitivity
 from dpmargin.optimizer import (
@@ -168,10 +168,52 @@ def full_block_reference(ds, c, schedule):
     return averaged / T, w
 
 
+def dense_gram_reference(signed, c, T, sigma, eta, averaging, rng):
+    """The Gram-form loop computing G a at every step, as before reuse."""
+    n, k = signed.shape
+    gram = signed @ signed.T
+    scores = np.zeros(n)
+    counts = np.zeros(n)
+    noise = np.zeros(k)
+    step = np.empty(n)
+    inv_c = -1.0 / c
+    for start in range(0, T, 512):
+        rows = min(512, T - start)
+        weights = (np.arange(T - 1 - start, T - 1 - start - rows, -1, dtype=np.float64)
+                   if averaging else np.ones(rows))
+        if sigma > 0.0:
+            block = rng.standard_normal((rows, k))
+            block *= sigma
+            noise += weights @ block
+            block_scores = block @ signed.T
+        for t in range(rows):
+            active = (scores < c).astype(np.float64)
+            np.dot(gram, active, out=step)
+            step *= inv_c
+            if sigma > 0.0:
+                step += block_scores[t]
+            step *= eta
+            scores -= step
+            active *= weights[t]
+            counts += active
+    w = signed.T @ counts
+    w *= inv_c
+    w += noise
+    w *= -eta
+    return w / T if averaging else w
+
+
+def dense_reference_weights(ds, c, schedule):
+    return dense_gram_reference(ds.signed_features(), c, schedule.T, schedule.sigma,
+                                schedule.eta, schedule.output_mode == "averaged",
+                                stream(schedule.seed, NGD_NOISE))
+
+
 @pytest.mark.parametrize("T", [1, 12, 511, 512, 513, 1100])
 def test_ngd_noise_matches_full_block_draws(T):
     # n >= 2d runs in feature space, bit for bit the reference loop; n < 2d
-    # runs in the Gram form from T = 12 on, whose sums run in another order
+    # runs in the Gram form from T = 12 on, whose sums run in another order,
+    # and which is bit for bit the Gram loop that computes G a every step
     c = 0.2
     cases = [(planted(n=30, d=4, seed=6), None), (planted(n=30, d=40, seed=6), None),
              (planted(n=30, d=40, seed=6), 0.0)]
@@ -179,12 +221,16 @@ def test_ngd_noise_matches_full_block_draws(T):
         for mode in ("averaged", "last_iterate"):
             model = ngd(c, ds, mu=0.5, mode=mode, seed=7,
                         overrides=NgdOverrides(T=T, sigma=sigma))
-            averaged, last = full_block_reference(ds, c, model.provenance.schedule)
+            schedule = model.provenance.schedule
+            averaged, last = full_block_reference(ds, c, schedule)
             want = averaged if mode == "averaged" else last
             if ds.n >= 2 * ds.dim:
                 np.testing.assert_array_equal(model.weights, want)
             else:
                 np.testing.assert_allclose(model.weights, want, rtol=1e-12)
+            if _gram_pays(ds.n, ds.dim, T):
+                np.testing.assert_array_equal(model.weights,
+                                              dense_reference_weights(ds, c, schedule))
 
 
 def test_gram_form_runs_where_it_pays():
@@ -205,10 +251,13 @@ def test_gram_form_jl_run_matches_reference():
     low = project_and_clip(phi, ds, ds.norm_bound)
     for mode in ("averaged", "last_iterate"):
         model = jlgd(phi, 0.13, ds, mu=0.5, mode=mode, seed=2)
-        averaged, last = full_block_reference(low, 0.13, model.provenance.schedule)
+        schedule = model.provenance.schedule
+        averaged, last = full_block_reference(low, 0.13, schedule)
         want = lift(phi, averaged if mode == "averaged" else last)
         np.testing.assert_allclose(model.weights, want, rtol=1e-12,
                                    atol=1e-14 * np.abs(want).max())
+        np.testing.assert_array_equal(
+            model.weights, lift(phi, dense_reference_weights(low, 0.13, schedule)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,10 +271,44 @@ def test_both_descent_forms_match_reference(n, k, T, c, averaged, data_seed):
                    overrides=NgdOverrides(T=T)).provenance.schedule
     want = full_block_reference(ds, c, schedule)[0 if averaged else 1]
     for descent in (_feature_descent, _gram_descent):
-        got = descent(ds.signed_features(), c, T, schedule.sigma, schedule.eta,
-                      averaged, stream(data_seed, NGD_NOISE))
+        got = descent(ds, c, T, schedule.sigma, schedule.eta, averaged,
+                      stream(data_seed, NGD_NOISE))
         np.testing.assert_allclose(got, want, rtol=1e-9,
                                    atol=1e-12 * np.abs(want).max())
+    # the Gram form reusing G a equals the loop recomputing it every step
+    np.testing.assert_array_equal(got, dense_reference_weights(ds, c, schedule))
+
+
+# ---------------------------------------------------------------- Gram-form reuse
+
+class ProductCounter(np.ndarray):
+    """A view of G that counts the np.dot calls it takes part in."""
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.dot:
+            self.products.append(1)
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def test_gram_reuse_skips_products_while_the_active_set_holds(monkeypatch):
+    # the smoke highdim shape (n = 300, d = 1000, 3 outliers) at c = gamma/3
+    # for its planted gamma: the active set holds for most steps
+    products = []
+    original = Dataset.gram
+
+    def counting(self):
+        view = original(self).view(ProductCounter)
+        view.products = products
+        return view
+
+    monkeypatch.setattr(Dataset, "gram", counting)
+    ds = synth_margin_dataset(300, 1000, 0.25, 3, seed=7)[0]
+    model = ngd(0.25 / 3, ds, mu=0.05, seed=5)
+    T = model.provenance.schedule.T
+    assert T == 225 and _gram_pays(ds.n, ds.dim, T)
+    assert 1 <= len(products) < T // 2
+    np.testing.assert_array_equal(
+        model.weights, dense_reference_weights(ds, 0.25 / 3, model.provenance.schedule))
 
 
 # ---------------------------------------------------------------- dynamics
