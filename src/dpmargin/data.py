@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -35,6 +36,12 @@ _ORACLE_MAX_ITER = 200_000
 
 _GRAM_LOCK = threading.Lock()
 
+#: Rows whose squares `row_norms` holds at once.
+_NORM_BLOCK = 64
+
+#: ASCII line breaks of `str.splitlines` that a text file's lines keep inside.
+_EXTRA_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e")
+
 
 @dataclass(frozen=True)
 class LabeledPoint:
@@ -50,61 +57,67 @@ class LabeledPoint:
             raise DataFormatError("features contain NaN/Inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
     """Immutable labeled dataset inside the radius-`norm_bound` ball.
 
-    `features` is an (n, d) float array, `labels` an (n,) array of +/-1.
+    Built from an (n, d) array of features and an (n,) array of +/-1 labels,
+    it holds only the signed rows y_i * x_i (one n x d float64 array, about
+    8 n d bytes) and the labels; `features` is rebuilt from them on access.
     Arrays are write-locked after construction so a Dataset can be shared
     across threads.
     """
 
-    features: np.ndarray
     labels: np.ndarray
     norm_bound: float
-    _signed: np.ndarray = field(init=False, repr=False, compare=False)
-    _gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _signed: np.ndarray = field(repr=False)
+    _gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels)
-        if feats.ndim != 2:
-            raise DimensionError("features must be a 2-d array")
-        if labs.shape != (feats.shape[0],):
-            raise DimensionError("labels must match the number of rows")
-        if feats.shape[0] < 1:
-            raise DataFormatError("dataset must contain at least one point")
-        if feats.shape[1] < 1:
-            raise DataFormatError("dataset must have at least one feature column")
-        if not np.all(np.isfinite(feats)):
-            raise DataFormatError("features contain NaN/Inf")
-        bad = ~np.isin(labs, (-1, 1))
-        if bad.any():
-            raise LabelError(f"label must be -1 or +1, got {labs[bad][0]}")
-        if not self.norm_bound > 0:
-            raise DataFormatError("norm_bound must be positive")
-        feats.setflags(write=False)
-        labs = labs.astype(np.float64)
-        labs.setflags(write=False)
-        signed = feats * labs[:, None]
+    def __init__(self, features, labels, norm_bound):
+        feats = np.asarray(features, dtype=np.float64)
+        labs = _validate(feats, labels, norm_bound)
+        self._hold(feats * labs[:, None], labs, norm_bound)
+
+    @classmethod
+    def from_signed(cls, signed, labels, norm_bound) -> "Dataset":
+        """Dataset with signed rows `signed`, adopted (and write-locked), not copied."""
+        signed = np.ascontiguousarray(signed, dtype=np.float64)
+        labs = _validate(signed, labels, norm_bound)
+        dataset = object.__new__(cls)
+        dataset._hold(signed, labs, norm_bound)
+        return dataset
+
+    def _hold(self, signed, labels, norm_bound):
         signed.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "norm_bound", norm_bound)
         object.__setattr__(self, "_signed", signed)
+        object.__setattr__(self, "_gram", None)
+
+    @property
+    def features(self) -> np.ndarray:
+        """The rows x_i, rebuilt (exactly, y being +/-1) on every access: read it once."""
+        feats = self._signed * self.labels[:, None]
+        feats.setflags(write=False)
+        return feats
 
     @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self._signed.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self._signed.shape[1]
 
     def __len__(self) -> int:
         return self.n
 
     def point(self, i: int) -> LabeledPoint:
-        return LabeledPoint(self.features[i], int(self.labels[i]))
+        label = self.labels[i]
+        feats = self._signed[i] * label
+        feats.setflags(write=False)
+        return LabeledPoint(feats, int(label))
 
     def signed_features(self) -> np.ndarray:
         """Rows y_i * x_i; the only geometry the margin machinery needs."""
@@ -121,7 +134,41 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(sorted(indices), dtype=np.intp)
-        return Dataset(self.features[idx], self.labels[idx].astype(int), self.norm_bound)
+        return Dataset.from_signed(self._signed[idx], self.labels[idx], self.norm_bound)
+
+
+def _validate(rows: np.ndarray, labels, norm_bound) -> np.ndarray:
+    """Validate an (n, d) array of (signed) rows with its labels; labels as float64."""
+    labs = np.asarray(labels)
+    if rows.ndim != 2:
+        raise DimensionError("features must be a 2-d array")
+    if labs.shape != (rows.shape[0],):
+        raise DimensionError("labels must match the number of rows")
+    if rows.shape[0] < 1:
+        raise DataFormatError("dataset must contain at least one point")
+    if rows.shape[1] < 1:
+        raise DataFormatError("dataset must have at least one feature column")
+    if not np.all(np.isfinite(rows)):
+        raise DataFormatError("features contain NaN/Inf")
+    bad = ~np.isin(labs, (-1, 1))
+    if bad.any():
+        raise LabelError(f"label must be -1 or +1, got {labs[bad][0]}")
+    if not norm_bound > 0:
+        raise DataFormatError("norm_bound must be positive")
+    return labs.astype(np.float64)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=1) bit for bit, without its n x d temporary.
+
+    Each row's squares are summed by the same reduction, a block of rows at
+    a time, so no more than _NORM_BLOCK rows of squares exist at once.
+    """
+    norms = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _NORM_BLOCK):
+        block = rows[start : start + _NORM_BLOCK]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start : start + _NORM_BLOCK])
+    return norms
 
 
 def _parse_label(token: str, line: int) -> int:
@@ -134,68 +181,123 @@ def _parse_label(token: str, line: int) -> int:
     return -1 if value <= 0.0 else 1  # 0 maps to -1, common file convention
 
 
+def _plain_lines(fh):
+    """The file's lines, refusing a line that `str.splitlines` would split again.
+
+    A text file breaks lines only at \\n, \\r and \\r\\n; `splitlines` also
+    breaks at \\v, \\f, \\x1c-\\x1e and three non-ASCII characters, which
+    `np.loadtxt` would strip as whitespace around a number instead.
+    """
+    for line in fh:
+        if not line.isascii() or any(c in line for c in _EXTRA_BREAKS):
+            raise ValueError("line holds a break that only splitlines honours")
+        yield line
+
+
+def _read_csv_table(path) -> np.ndarray | None:
+    """The CSV as an n x (d+1) float table in one C parse, labels last.
+
+    None when the file is not plainly well formed: a parse error, fewer than
+    two columns, or a label outside {-1, 0, +1}.  `np.loadtxt` then differs
+    from `_parse_csv` in what it accepts (whitespace-only lines, `1_0`
+    tokens, one column) or in the line it reports, so the caller reruns the
+    per-line parser, which accepts the file or raises with the line number.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty file
+            table = np.loadtxt(_plain_lines(fh), delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    labels = table[:, -1]
+    if table.shape[1] < 2 or not np.all((labels == 0.0) | (np.abs(labels) == 1.0)):
+        return None
+    return table
+
+
+def _parse_csv(lines: list[str]) -> tuple[np.ndarray, list[int]]:
+    rows, labels = [], []
+    width = None
+    for ln, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        tokens = [t.strip() for t in raw.split(",")]
+        if len(tokens) < 2:
+            raise DataFormatError("expected at least one feature and a label", line=ln)
+        labels.append(_parse_label(tokens[-1], ln))
+        try:
+            row = [float(t) for t in tokens[:-1]]
+        except ValueError as exc:
+            raise DataFormatError(f"cannot parse feature in {raw!r}", line=ln) from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise DimensionError(f"line {ln}: row has {len(row)} features, expected {width}")
+        rows.append(row)
+    return np.asarray(rows, dtype=np.float64), labels
+
+
+def _parse_libsvm(lines: list[str]) -> tuple[np.ndarray, list[int]]:
+    labels, entries = [], []
+    dim = 0
+    for ln, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        tokens = raw.split()
+        labels.append(_parse_label(tokens[0], ln))
+        pairs = []
+        for tok in tokens[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx, val = int(idx_s), float(val_s)
+            except ValueError as exc:
+                raise DataFormatError(f"cannot parse entry {tok!r}", line=ln) from exc
+            if idx < 1:
+                raise DataFormatError(f"index must be 1-based, got {idx}", line=ln)
+            pairs.append((idx, val))
+            dim = max(dim, idx)
+        entries.append(pairs)
+    feats = np.zeros((len(entries), dim), dtype=np.float64)
+    for i, pairs in enumerate(entries):
+        for idx, val in pairs:
+            feats[i, idx - 1] = val
+    return feats, labels
+
+
+def _read_lines(path) -> list[str]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
 def load_dataset(path, format: str = "csv") -> Dataset:
     """Read a CSV ("f1,...,fd,label") or LIBSVM ("label idx:val ...") file.
 
     Labels {0,1} are mapped onto {-1,+1}; LIBSVM indices are 1-based and
     densified; `norm_bound` is set to the largest observed row norm.
+
+    A CSV line holds d >= 1 numbers and a label in {-1, 0, +1}, separated by
+    commas; anything Python's `float` reads is a number (so `1_0` and `nan`
+    parse, and NaN/Inf are then rejected), whitespace around a token and
+    blank lines are ignored, and every line must have the same width.
+    Errors carry the 1-based line number.  A well-formed ASCII file is
+    parsed in one pass of `np.loadtxt`; loading then holds the n x (d+1)
+    table and the dataset's n x d signed rows at once, about 16 n d bytes,
+    and the returned dataset about 8 n d bytes.
     """
     if format not in ("csv", "libsvm"):
         raise DataFormatError(f"unknown format {format!r}")
-    rows, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if format == "csv":
-        width = None
-        for ln, raw in enumerate(lines, start=1):
-            if not raw.strip():
-                continue
-            tokens = [t.strip() for t in raw.split(",")]
-            if len(tokens) < 2:
-                raise DataFormatError("expected at least one feature and a label", line=ln)
-            labels.append(_parse_label(tokens[-1], ln))
-            try:
-                row = [float(t) for t in tokens[:-1]]
-            except ValueError as exc:
-                raise DataFormatError(f"cannot parse feature in {raw!r}", line=ln) from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DimensionError(
-                    f"line {ln}: row has {len(row)} features, expected {width}"
-                )
-            rows.append(row)
-        feats = np.asarray(rows, dtype=np.float64)
+    table = _read_csv_table(path) if format == "csv" else None
+    if table is not None:
+        feats, labels = table[:, :-1], np.where(table[:, -1] > 0.0, 1, -1)
+    elif format == "csv":
+        feats, labels = _parse_csv(_read_lines(path))
     else:
-        entries = []
-        dim = 0
-        for ln, raw in enumerate(lines, start=1):
-            if not raw.strip():
-                continue
-            tokens = raw.split()
-            labels.append(_parse_label(tokens[0], ln))
-            pairs = []
-            for tok in tokens[1:]:
-                try:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError as exc:
-                    raise DataFormatError(f"cannot parse entry {tok!r}", line=ln) from exc
-                if idx < 1:
-                    raise DataFormatError(f"index must be 1-based, got {idx}", line=ln)
-                pairs.append((idx, val))
-                dim = max(dim, idx)
-            entries.append(pairs)
-        feats = np.zeros((len(entries), dim), dtype=np.float64)
-        for i, pairs in enumerate(entries):
-            for idx, val in pairs:
-                feats[i, idx - 1] = val
+        feats, labels = _parse_libsvm(_read_lines(path))
     if feats.shape[0] < 2:
         raise DataFormatError(f"need at least two data rows in {path}")
     if not np.all(np.isfinite(feats)):
         raise DataFormatError("features contain NaN/Inf")
-    norms = np.linalg.norm(feats, axis=1)
-    bound = float(norms.max())
+    bound = float(row_norms(feats).max())
     if bound <= 0.0:
         bound = 1.0  # all-zero dataset still needs a positive ball radius
     return Dataset(feats, np.asarray(labels, dtype=int), bound)
@@ -203,10 +305,10 @@ def load_dataset(path, format: str = "csv") -> Dataset:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write the CSV form `load_dataset` reads; stable bytes, LF endings."""
+    features = dataset.features
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(dataset.n):
-            feats = ",".join(repr(float(v)) for v in dataset.features[i])
-            fh.write(f"{feats},{int(dataset.labels[i]):+d}\n")
+        for row, label in zip(features, dataset.labels.tolist()):
+            fh.write(f"{','.join(map(repr, row.tolist()))},{int(label):+d}\n")
 
 
 def clip_norms(dataset: Dataset, b: float) -> Dataset:
@@ -217,10 +319,11 @@ def clip_norms(dataset: Dataset, b: float) -> Dataset:
     """
     if not b > 0:
         raise DataFormatError("clip radius must be positive")
-    norms = np.linalg.norm(dataset.features, axis=1)
+    signed = dataset.signed_features()
+    norms = row_norms(signed)
     outside = norms > b * (1.0 + 1e-12)
     scale = np.where(outside, np.divide(b, norms, out=np.ones_like(norms), where=norms > 0), 1.0)
-    return Dataset(dataset.features * scale[:, None], dataset.labels.astype(int), b)
+    return Dataset.from_signed(signed * scale[:, None], dataset.labels, b)
 
 
 def _unit_sphere(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -381,9 +484,10 @@ def min_outliers_oracle(
 def normalize_points(dataset: Dataset) -> Dataset:
     """Map every nonzero x to x/||x||; the Eq-of-ratios margin of the result
     equals the per-point-normalized margin of the original."""
-    norms = np.linalg.norm(dataset.features, axis=1)
+    signed = dataset.signed_features()
+    norms = row_norms(signed)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return Dataset(dataset.features * scale[:, None], dataset.labels.astype(int), 1.0)
+    return Dataset.from_signed(signed * scale[:, None], dataset.labels, 1.0)
 
 
 def normalized_margin_oracle(dataset: Dataset, tol: float = DEFAULT_TOL) -> float:

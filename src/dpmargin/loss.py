@@ -22,22 +22,20 @@ class LossSpec:
             raise ValueError("hinge loss needs a confidence margin c > 0")
 
 
-def _check_dims(w: np.ndarray, features: np.ndarray) -> None:
-    if w.shape[-1] != features.shape[-1]:
-        raise DimensionError(
-            f"weight dim {w.shape[-1]} != feature dim {features.shape[-1]}"
-        )
+def _check_dims(w: np.ndarray, dim: int) -> None:
+    if w.shape[-1] != dim:
+        raise DimensionError(f"weight dim {w.shape[-1]} != feature dim {dim}")
 
 
 def hinge_loss(w: np.ndarray, p: LabeledPoint, c: float) -> float:
     """max{0, 1 - y<w,x>/c}."""
-    _check_dims(np.asarray(w), p.features)
+    _check_dims(np.asarray(w), p.features.shape[-1])
     return float(max(0.0, 1.0 - p.label * float(np.dot(w, p.features)) / c))
 
 
 def hinge_subgrad(w: np.ndarray, p: LabeledPoint, c: float) -> np.ndarray:
     """-(y/c) x on the active region, zero elsewhere (including the kink)."""
-    _check_dims(np.asarray(w), p.features)
+    _check_dims(np.asarray(w), p.features.shape[-1])
     if 1.0 - p.label * float(np.dot(w, p.features)) / c > 0.0:
         return (-p.label / c) * p.features
     return np.zeros_like(p.features)
@@ -45,18 +43,18 @@ def hinge_subgrad(w: np.ndarray, p: LabeledPoint, c: float) -> np.ndarray:
 
 def zero_one_loss(w: np.ndarray, p: LabeledPoint) -> int:
     """1 iff y<w,x> < 0; an exact tie counts as correct."""
-    _check_dims(np.asarray(w), p.features)
+    _check_dims(np.asarray(w), p.features.shape[-1])
     return int(p.label * float(np.dot(w, p.features)) < 0.0)
 
 
 def hinge_values(w: np.ndarray, dataset: Dataset, c: float) -> np.ndarray:
     """Vector of per-point hinge losses (vectorized form of hinge_loss)."""
-    _check_dims(np.asarray(w), dataset.features)
+    _check_dims(np.asarray(w), dataset.dim)
     return np.maximum(0.0, 1.0 - (dataset.signed_features() @ w) / c)
 
 
 def zero_one_values(w: np.ndarray, dataset: Dataset) -> np.ndarray:
-    _check_dims(np.asarray(w), dataset.features)
+    _check_dims(np.asarray(w), dataset.dim)
     return (dataset.signed_features() @ w < 0.0).astype(np.float64)
 
 

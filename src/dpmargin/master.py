@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeding import JL_SIGNS, child_seed
-from .data import Dataset, geometric_margin_oracle, min_outliers_oracle
+from .data import Dataset, geometric_margin_oracle, min_outliers_oracle, row_norms
 from .errors import DataFormatError, SizeError
 from .loss import LossSpec, empirical_risk
 from .optimizer import LinearModel, Provenance, jlgd
@@ -106,8 +106,7 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
     n, d, b = dataset.n, dataset.dim, dataset.norm_bound
     if n < 2:
         raise ValueError("need n >= 2")
-    norms = np.linalg.norm(dataset.features, axis=1)
-    if norms.max() > b * (1 + 1e-12):
+    if row_norms(dataset.signed_features()).max() > b * (1 + 1e-12):
         raise ValueError("dataset is not clipped to its norm bound; run clip_norms")
     # JL failure probability 1/n^2 per candidate
     candidates = build_candidates(n, d, b, 1.0 / (n * n), cfg.seed)

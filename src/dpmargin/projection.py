@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeding import JL_SIGNS, stream
-from .data import Dataset
+from .data import Dataset, row_norms
 from .errors import DimensionError
 
 #: Multiplier in front of (b/gamma)^2 log(...); the source bound hides the
@@ -117,16 +117,25 @@ def sample_jl(k: int, d: int, seed: int) -> JlMatrix:
 
 
 def project_and_clip(phi, dataset: Dataset, v: float) -> Dataset:
-    """Project every point and radially clip at radius 2v; labels unchanged."""
+    """Project every point and radially clip at radius 2v; labels unchanged.
+
+    Projects the signed rows: negating a row commutes exactly with the
+    projection and the clip, so the result's features are those of the
+    projected points bit for bit, and only the returned n x k array is built.
+    """
     if phi.d != dataset.dim:
         raise DimensionError(f"matrix expects d={phi.d}, dataset has d={dataset.dim}")
     if not v > 0:
         raise ValueError("clip radius parameter v must be positive")
-    projected = phi.project_points(dataset.features)
+    projected = phi.project_points(dataset.signed_features())
     radius = 2.0 * v
-    norms = np.linalg.norm(projected, axis=1)
+    norms = row_norms(projected)
     scale = np.minimum(1.0, np.divide(radius, norms, out=np.ones_like(norms), where=norms > 0))
-    return Dataset(projected * scale[:, None], dataset.labels.astype(int), radius)
+    if projected.flags.writeable:
+        projected *= scale[:, None]
+    else:  # the identity map hands back the dataset's own, write-locked rows
+        projected = projected * scale[:, None]
+    return Dataset.from_signed(projected, dataset.labels, radius)
 
 
 def lift(phi, w_k: np.ndarray) -> np.ndarray:

@@ -359,9 +359,10 @@ def test_train_eval_libsvm_round_trip(tmp_path, capsys, monkeypatch):
 
     ds, _ = synth_margin_dataset(150, 6, 0.4, 0, seed=33)
     path = tmp_path / "data.svm"
+    feats = ds.features
     with open(path, "w", newline="\n") as fh:
         for i in range(ds.n):
-            pairs = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(ds.features[i]))
+            pairs = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(feats[i]))
             fh.write(f"{int(ds.labels[i]):+d} {pairs}\n")
     model = tmp_path / "m.json"
     code, stdout, _ = run(capsys, "train", "--dataset", str(path), "--format",

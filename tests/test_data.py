@@ -291,6 +291,33 @@ def test_dataset_arrays_immutable():
         ds.features[0, 0] = 2.0
 
 
+def test_dataset_features_are_the_input_bit_for_bit(tmp_path):
+    feats = np.array([[-0.0, 0.0, 1.5], [0.0, -0.0, -2.5], [1e-300, -5e-324, 3.0]])
+    ds = Dataset(feats, np.array([1, -1, -1]), 5.0)
+    assert ds.features.view(np.uint64).tolist() == feats.view(np.uint64).tolist()
+    path = tmp_path / "z.csv"
+    path.write_text("-0.0,0.0,0\n0.0,-0.0,1\n")
+    loaded = load_dataset(path)
+    assert loaded.labels.tolist() == [-1, 1]
+    expected = np.array([[-0.0, 0.0], [0.0, -0.0]])
+    assert loaded.features.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_subset_and_point_read_only_the_selected_rows(monkeypatch, rng):
+    feats = rng.standard_normal((12, 4))
+    feats[2, 1] = -0.0
+    ds = make_dataset(feats, np.where(rng.random(12) < 0.5, 1, -1))
+    monkeypatch.setattr(Dataset, "features",
+                        property(lambda self: pytest.fail("read the whole matrix")))
+    sub, point = ds.subset([7, 2, 5]), ds.point(2)
+    monkeypatch.undo()
+    assert sub.features.view(np.uint64).tolist() == feats[[2, 5, 7]].view(np.uint64).tolist()
+    assert sub.labels.tolist() == ds.labels[[2, 5, 7]].tolist()
+    assert sub.norm_bound == ds.norm_bound
+    assert point.features.view(np.uint64).tolist() == feats[2].view(np.uint64).tolist()
+    assert point.label == int(ds.labels[2])
+
+
 def test_load_rejects_single_row(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("1.0,0.5,+1\n")

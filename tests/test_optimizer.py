@@ -315,13 +315,14 @@ def test_gram_reuse_skips_products_while_the_active_set_holds(monkeypatch):
 
 def noiseless_descent_oracle(ds, c, T, eta):
     """Independent plain subgradient descent; no shared code with ngd."""
+    feats = ds.features
     w = np.zeros(ds.dim)
     for _ in range(T):
         grad = np.zeros(ds.dim)
         for i in range(ds.n):
-            margin = ds.labels[i] * float(ds.features[i] @ w)
+            margin = ds.labels[i] * float(feats[i] @ w)
             if 1.0 - margin / c > 0.0:
-                grad -= (ds.labels[i] / c) * ds.features[i]
+                grad -= (ds.labels[i] / c) * feats[i]
         w = w - eta * grad
     return w
 
@@ -355,9 +356,10 @@ def test_single_step_is_minus_eta_g0():
     eta = 0.001
     model = ngd(c, ds, mu=1.0, mode="last_iterate", seed=0,
                 overrides=NgdOverrides(T=1, sigma=0.0, eta=eta))
+    feats = ds.features
     g0 = np.zeros(ds.dim)
     for i in range(ds.n):  # every point is active at w0 = 0
-        g0 -= (ds.labels[i] / c) * ds.features[i]
+        g0 -= (ds.labels[i] / c) * feats[i]
     np.testing.assert_allclose(model.weights, -eta * g0, rtol=1e-12)
 
 

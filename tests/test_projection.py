@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,37 @@ def test_project_clip_binds_at_two_v():
     ds = make_dataset([[1.0, 0.0]], [1], bound=1.0)
     out = project_and_clip(_BlowUp(2), ds, 1.0)
     assert np.linalg.norm(out.features[0]) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_project_and_clip_matches_projecting_the_features(rng):
+    # project the features, then clip them radially: bit for bit, -0.0 included
+    feats = rng.standard_normal((50, 40))
+    feats[0] = 0.0
+    feats[1, :5] = -0.0
+    ds = make_dataset(feats, np.where(rng.random(50) < 0.5, 1, -1))
+    for phi in (sample_jl(12, 40, seed=2), IdentityMap(40)):
+        for v in (0.3, 100.0):
+            raw = phi.project_points(ds.features)
+            norms = np.linalg.norm(raw, axis=1)
+            scale = np.minimum(1.0, np.divide(2.0 * v, norms, out=np.ones_like(norms),
+                                              where=norms > 0))
+            out = project_and_clip(phi, ds, v)
+            expected = raw * scale[:, None]
+            assert out.features.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_project_and_clip_builds_one_copy():
+    ds, _ = synth_margin_dataset(2000, 400, 0.25, 15, seed=7)
+    phi = sample_jl(200, 400, seed=3)
+    copy = 2000 * 200 * 8
+    tracemalloc.start()
+    try:
+        out = project_and_clip(phi, ds, ds.norm_bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dim == 200
+    assert peak < 1.5 * copy  # the returned n x k rows and no second copy
 
 
 def test_project_dim_mismatch():
