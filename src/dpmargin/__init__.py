@@ -2,23 +2,21 @@
 linearly separable subsets.
 
 The public surface mirrors the module layout: datasets and margin oracles in
-`data`, losses in `loss`, random projection in `projection`, Gaussian-DP
-accounting in `privacy`, the noisy optimizer in `optimizer`, private
-hyperparameter selection in `tuning`, and the end-to-end mechanism in
-`master`.
+`data`, the empirical risk and hinge sensitivity in `loss`, random projection
+in `projection`, Gaussian-DP accounting in `privacy`, the noisy optimizer in
+`optimizer`, private hyperparameter selection with a geometric run count in
+`tuning`, and the end-to-end mechanism in `master`.
 """
 
 from .data import (
     Dataset,
-    LabeledPoint,
     clip_norms,
     geometric_margin_oracle,
     load_dataset,
     min_outliers_oracle,
-    normalized_margin_oracle,
     synth_margin_dataset,
 )
-from .loss import LossSpec, empirical_risk, hinge_loss, hinge_sensitivity, hinge_subgrad, zero_one_loss
+from .loss import LossSpec, empirical_risk, hinge_sensitivity
 from .master import (
     MasterConfig,
     MasterResult,
@@ -48,7 +46,6 @@ from .tuning import (
     priv_tune,
     sample_tnb,
     score,
-    tnb_mean,
     tnb_not_selected_prob,
     tnb_pgf,
     tnb_pmf,

@@ -27,6 +27,7 @@ from .errors import DpMarginError, GenerationError, PrivacyBudgetError
 from .loss import LossSpec, empirical_risk
 from .master import (
     MasterConfig,
+    _finite_number,
     dp_adaptive_margin,
     margin_grid,
     model_from_json,
@@ -39,10 +40,10 @@ from .privacy import budget_ledger
 #: Above this size synth reports the planted margin instead of the oracle value.
 SYNTH_ORACLE_CAP = 500
 
-_RUN_CONFIG_KEYS = {
-    "epsilon", "delta", "tuner", "score", "mode", "seed", "threads",
-    "dataset", "format", "out",
-}
+_RUN_CONFIG_STRINGS = ("dataset", "format", "out", "tuner", "score", "mode")
+_RUN_CONFIG_NUMBERS = ("epsilon", "delta")
+# MasterConfig checks seed and threads itself
+_RUN_CONFIG_KEYS = {*_RUN_CONFIG_STRINGS, *_RUN_CONFIG_NUMBERS, "seed", "threads"}
 
 
 def _fail(message: str, code: int, json_errors: bool) -> int:
@@ -86,6 +87,11 @@ def _load_run_config(path) -> dict:
     unknown = set(doc) - _RUN_CONFIG_KEYS
     if unknown:
         raise PrivacyBudgetError(f"unknown run-config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        if key in _RUN_CONFIG_STRINGS and not isinstance(value, str):
+            raise ValueError(f"run-config {key} must be a string, got {value!r}")
+        if key in _RUN_CONFIG_NUMBERS and not _finite_number(value):
+            raise ValueError(f"run-config {key} must be a finite number, got {value!r}")
     return doc
 
 
@@ -133,12 +139,11 @@ def cmd_eval(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model, doc = model_from_json(fh.read())
     dataset = load_dataset(args.dataset, args.format or "csv")
-    zo = empirical_risk(model.weights, dataset, LossSpec("zero_one"), "averaged")
+    zo = empirical_risk(model.weights, dataset, LossSpec("zero_one"))
     print(f"averaged zero-one risk: {zo:.6f}")
     gamma = doc.get("gamma_out")
-    if gamma:
-        hinge = empirical_risk(model.weights, dataset, LossSpec("hinge", gamma / 3.0),
-                               "averaged")
+    if gamma is not None:
+        hinge = empirical_risk(model.weights, dataset, LossSpec("hinge", gamma / 3.0))
         print(f"averaged hinge risk (c = gamma/3 = {gamma / 3.0:g}): {hinge:.6f}")
     return 0
 

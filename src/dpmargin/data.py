@@ -1,8 +1,8 @@
 """Datasets: file ingestion, norm clipping, synthetic generation, margin oracles.
 
-The two oracles here (`geometric_margin_oracle`, `min_outliers_oracle`) exist
-for testing and for the small-instance competitiveness check; nothing on the
-private training path reads them.
+The margin oracles here (`geometric_margin_oracle`, `hard_margin_direction`,
+`min_outliers_oracle`) serve `synth`, `margin-curve` and the small-instance
+competitiveness check; nothing on the private training path reads them.
 """
 
 from __future__ import annotations
@@ -41,20 +41,6 @@ _NORM_BLOCK = 64
 
 #: ASCII line breaks of `str.splitlines` that a text file's lines keep inside.
 _EXTRA_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e")
-
-
-@dataclass(frozen=True)
-class LabeledPoint:
-    """One example: a feature vector and a label in {-1, +1}."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise LabelError(f"label must be -1 or +1, got {self.label}")
-        if not np.all(np.isfinite(self.features)):
-            raise DataFormatError("features contain NaN/Inf")
 
 
 @dataclass(frozen=True, init=False)
@@ -112,12 +98,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def point(self, i: int) -> LabeledPoint:
-        label = self.labels[i]
-        feats = self._signed[i] * label
-        feats.setflags(write=False)
-        return LabeledPoint(feats, int(label))
 
     def signed_features(self) -> np.ndarray:
         """Rows y_i * x_i; the only geometry the margin machinery needs."""
@@ -488,8 +468,3 @@ def normalize_points(dataset: Dataset) -> Dataset:
     norms = row_norms(signed)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     return Dataset.from_signed(signed * scale[:, None], dataset.labels, 1.0)
-
-
-def normalized_margin_oracle(dataset: Dataset, tol: float = DEFAULT_TOL) -> float:
-    """max_w min_i y<w,x>/(||x|| ||w||), within additive tol."""
-    return geometric_margin_oracle(normalize_points(dataset), tol)

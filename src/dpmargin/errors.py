@@ -49,11 +49,7 @@ class PrivacyBudgetError(DpMarginError):
 
 
 class ResourceError(DpMarginError):
-    """A run-length cap would be exceeded; the message explains the override."""
-
-
-class UnsupportedError(DpMarginError):
-    """Requested a parameter regime the toolkit deliberately does not cover."""
+    """A run-length cap would be exceeded; the message names the cap and a way round it."""
 
 
 class MissingContextError(DpMarginError):

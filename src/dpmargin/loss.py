@@ -1,4 +1,4 @@
-"""Hinge and zero-one losses, subgradients, empirical risk, sensitivity."""
+"""Empirical hinge and zero-one risk, and the hinge gradient's sensitivity."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabeledPoint
+from .data import Dataset
 from .errors import DimensionError
 
 
@@ -22,55 +22,23 @@ class LossSpec:
             raise ValueError("hinge loss needs a confidence margin c > 0")
 
 
-def _check_dims(w: np.ndarray, dim: int) -> None:
-    if w.shape[-1] != dim:
-        raise DimensionError(f"weight dim {w.shape[-1]} != feature dim {dim}")
+def empirical_risk(w, dataset: Dataset, spec: LossSpec) -> float:
+    """Averaged empirical loss over the dataset.
 
-
-def hinge_loss(w: np.ndarray, p: LabeledPoint, c: float) -> float:
-    """max{0, 1 - y<w,x>/c}."""
-    _check_dims(np.asarray(w), p.features.shape[-1])
-    return float(max(0.0, 1.0 - p.label * float(np.dot(w, p.features)) / c))
-
-
-def hinge_subgrad(w: np.ndarray, p: LabeledPoint, c: float) -> np.ndarray:
-    """-(y/c) x on the active region, zero elsewhere (including the kink)."""
-    _check_dims(np.asarray(w), p.features.shape[-1])
-    if 1.0 - p.label * float(np.dot(w, p.features)) / c > 0.0:
-        return (-p.label / c) * p.features
-    return np.zeros_like(p.features)
-
-
-def zero_one_loss(w: np.ndarray, p: LabeledPoint) -> int:
-    """1 iff y<w,x> < 0; an exact tie counts as correct."""
-    _check_dims(np.asarray(w), p.features.shape[-1])
-    return int(p.label * float(np.dot(w, p.features)) < 0.0)
-
-
-def hinge_values(w: np.ndarray, dataset: Dataset, c: float) -> np.ndarray:
-    """Vector of per-point hinge losses (vectorized form of hinge_loss)."""
-    _check_dims(np.asarray(w), dataset.dim)
-    return np.maximum(0.0, 1.0 - (dataset.signed_features() @ w) / c)
-
-
-def zero_one_values(w: np.ndarray, dataset: Dataset) -> np.ndarray:
-    _check_dims(np.asarray(w), dataset.dim)
-    return (dataset.signed_features() @ w < 0.0).astype(np.float64)
-
-
-def empirical_risk(w, dataset: Dataset, spec: LossSpec, mode: str = "averaged") -> float:
-    """Summed or averaged empirical loss over the dataset."""
+    Per point, the hinge loss is max{0, 1 - y<w,x>/c} and the zero-one loss
+    is 1 iff y<w,x> < 0, so an exact tie counts as correct.
+    """
     if dataset.n == 0:
         raise DimensionError("empty dataset")
-    if mode not in ("averaged", "summed"):
-        raise ValueError(f"unknown mode {mode!r}")
     w = np.asarray(w, dtype=np.float64)
+    if w.shape[-1] != dataset.dim:
+        raise DimensionError(f"weight dim {w.shape[-1]} != feature dim {dataset.dim}")
+    scores = dataset.signed_features() @ w
     if spec.kind == "hinge":
-        values = hinge_values(w, dataset, spec.c)
+        values = np.maximum(0.0, 1.0 - scores / spec.c)
     else:
-        values = zero_one_values(w, dataset)
-    total = float(values.sum())  # fixed-order reduction keeps results bit-stable
-    return total / dataset.n if mode == "averaged" else total
+        values = (scores < 0.0).astype(np.float64)
+    return float(values.sum()) / dataset.n  # fixed-order reduction keeps results bit-stable
 
 
 def hinge_sensitivity(b: float, c: float) -> float:

@@ -184,6 +184,11 @@ def model_to_json(result: MasterResult, cfg: MasterConfig) -> str:
 
 
 def model_from_json(text: str) -> tuple[LinearModel, dict]:
+    """The model in a `train` model file and the whole document.
+
+    `weights` must be finite numbers, `d` an integer and `gamma_out`, if set,
+    a finite positive number; otherwise DataFormatError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -198,6 +203,9 @@ def model_from_json(text: str) -> tuple[LinearModel, dict]:
         raise DataFormatError("model file weights must be a list of finite numbers")
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise DataFormatError(f"model file d must be an integer, got {dim!r}")
+    gamma = doc.get("gamma_out")
+    if gamma is not None and not (_finite_number(gamma) and gamma > 0):
+        raise DataFormatError(f"model file gamma_out must be a positive number, got {gamma!r}")
     prov = Provenance(jl_seed=doc.get("jl_seed"), k=doc.get("k"))
     model = LinearModel(np.asarray(weights, dtype=np.float64), dim, prov)
     return model, doc
@@ -214,4 +222,4 @@ def _finite_number(value) -> bool:
 
 def training_risk(model: LinearModel, dataset: Dataset) -> float:
     """Averaged zero-one risk, the quantity the train command reports."""
-    return empirical_risk(model.weights, dataset, LossSpec("zero_one"), "averaged")
+    return empirical_risk(model.weights, dataset, LossSpec("zero_one"))

@@ -48,15 +48,12 @@ class NgdConfig:
     T: int
     sigma: float
     eta: float
-    output_mode: str
-    seed: int
 
 
 @dataclass(frozen=True)
 class Provenance:
     jl_seed: int | None = None
     k: int | None = None
-    mu: float | None = None
     schedule: NgdConfig | None = None
 
 
@@ -159,12 +156,12 @@ def ngd(
     n, k = dataset.n, dataset.dim
     delta_sens = hinge_sensitivity(dataset.norm_bound, c)
     T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides)
-    schedule = NgdConfig(T=T, sigma=sigma, eta=eta, output_mode=mode, seed=seed)
+    schedule = NgdConfig(T=T, sigma=sigma, eta=eta)
 
     descent = _gram_descent if _gram_pays(n, k, T) else _feature_descent
     rng = stream(seed, NGD_NOISE)
     out = descent(dataset, c, T, sigma, eta, mode == "averaged", rng)
-    return LinearModel(out, k, Provenance(k=k, mu=mu, schedule=schedule))
+    return LinearModel(out, k, Provenance(k=k, schedule=schedule))
 
 
 def _gram_pays(n: int, k: int, T: int) -> bool:

@@ -84,21 +84,20 @@ def per_candidate_budget(mu: float, grid_size: int) -> tuple[float, float]:
     return base_mu, gaussian_noise_std(1.0, base_mu)
 
 
-def tnb_tune_privacy(mu: float, r: float, delta: float, simplified: bool = False) -> float:
-    """(epsilon, delta) cost of geometric-run-count private selection.
+def tnb_tune_privacy(mu: float, r: float, delta: float) -> float:
+    """epsilon of geometric-run-count private selection at this delta.
 
-    Exact: eps = 1.5 mu^2 + 3 mu sqrt(2 ln(1/(r delta))) + delta.
-    Simplified (mu <= 2 sqrt(2 ln(1/(r delta)))): eps = 6 mu sqrt(...) + delta.
+    eps = 6 mu sqrt(2 ln(1/(r delta))) + delta, valid for
+    mu <= 2 sqrt(2 ln(1/(r delta))), where it bounds the exact cost
+    1.5 mu^2 + 3 mu sqrt(2 ln(1/(r delta))) + delta from above.
     """
     _check_mu_delta(mu, delta)
     if not 0 < r < 1:
         raise PrivacyBudgetError(f"r must lie in (0, 1), got {r}")
     root = math.sqrt(2.0 * math.log(1.0 / (r * delta)))
-    if not simplified:
-        return 1.5 * mu * mu + 3.0 * mu * root + delta
     if mu > 2.0 * root * (1.0 + _REL_SLACK):
         raise PrivacyBudgetError(
-            f"simplified branch needs mu <= 2 sqrt(2 ln(1/(r delta))) = {2 * root:.6g}"
+            f"geometric selection needs mu <= 2 sqrt(2 ln(1/(r delta))) = {2 * root:.6g}"
         )
     return 6.0 * mu * root + delta
 
@@ -156,7 +155,7 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
         raise PrivacyBudgetError("the priv_tune budget needs the dataset size n")
     mu, r = master_tnb_budget(epsilon, delta, grid_size, n)
     base_mu, noise_std = per_candidate_budget(mu, 1)  # one run, one score release
-    eps_total = tnb_tune_privacy(mu, r, delta, simplified=True)
+    eps_total = tnb_tune_privacy(mu, r, delta)
     return {
         "tuner": "priv_tune",
         "grid_size": grid_size,

@@ -1,9 +1,10 @@
 """Private hyperparameter selection.
 
 Two selectors over margin candidates: the brute-force split-budget sweep and
-the advanced scheme whose run count follows a truncated negative binomial law
-(geometric at eta = 1).  Scores are summed zero-one counts, optionally with a
-dimension-based penalty targeting population rather than empirical risk.
+the advanced scheme whose run count is geometric, the eta = 1 case of
+truncated-negative-binomial private selection.  Scores are summed zero-one
+counts, optionally with a dimension-based penalty targeting population rather
+than empirical risk.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import numpy as np
 
 from ._seeding import CANDIDATE_PICK, CANDIDATE_SEED, SCORE_NOISE, TNB_RUNS, child_seed, stream
 from .data import Dataset
-from .errors import MissingContextError, ResourceError, UnsupportedError
+from .errors import MissingContextError, ResourceError
 from .optimizer import LinearModel
 from .privacy import per_candidate_budget
 
-#: priv_tune refuses to launch more base runs than this.
+#: priv_tune refuses to launch more base runs than this; read at call time.
 DEFAULT_RUN_CAP = 10**6
 
 
@@ -34,14 +35,18 @@ class Candidate:
 
 @dataclass(frozen=True)
 class TnbDist:
-    """Truncated negative binomial on {1, 2, ...}; eta = 1 is geometric."""
+    """Geometric law of the run count on {1, 2, ...} with success rate r.
+
+    It is the truncated negative binomial at eta = 1, the only case the
+    tuner uses; any other eta is refused.
+    """
 
     eta: float
     r: float
 
     def __post_init__(self):
-        if not self.eta > -1:
-            raise ValueError(f"eta must exceed -1, got {self.eta}")
+        if self.eta != 1:
+            raise ValueError(f"only the geometric law eta = 1 is supported, got {self.eta}")
         if not 0 < self.r < 1:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
 
@@ -49,20 +54,17 @@ class TnbDist:
 @dataclass(frozen=True)
 class ScoreSpec:
     kind: str  # "empirical_zero_one" | "penalized_population"
-    beta: float | None = None  # penalized only; defaults to 1/n^2
 
     def __post_init__(self):
         if self.kind not in ("empirical_zero_one", "penalized_population"):
             raise ValueError(f"unknown score kind {self.kind!r}")
-        if self.beta is not None and not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
 
 
 def score(model: LinearModel, dataset: Dataset, spec: ScoreSpec) -> float:
     """Summed zero-one count, plus (5/2)(k ln(2n) + ln(4/beta)) if penalized.
 
     k is the candidate's projection dimension (the VC dimension of the
-    low-dimensional halfspace class actually searched).
+    low-dimensional halfspace class actually searched) and beta = 1/n^2.
     """
     if model.dim != dataset.dim:
         raise MissingContextError(
@@ -75,7 +77,7 @@ def score(model: LinearModel, dataset: Dataset, spec: ScoreSpec) -> float:
     if k is None:
         raise MissingContextError("penalized score needs the candidate projection dim k")
     n = dataset.n
-    beta = spec.beta if spec.beta is not None else 1.0 / (n * n)
+    beta = 1.0 / (n * n)
     return errs + 2.5 * (k * math.log(2 * n) + math.log(4.0 / beta))
 
 
@@ -116,11 +118,9 @@ def iter_tune(
 def sample_tnb(dist: TnbDist, seed, size: int | None = None):
     """Inverse-CDF draw(s): K = ceil(ln(u) / ln(1-r)), clamped to >= 1.
 
-    Only the geometric case eta = 1 is sampled; `seed` may be an int or an
-    existing Generator, and `size` vectorizes the draw.
+    `seed` may be an int or an existing Generator, and `size` vectorizes
+    the draw.
     """
-    if dist.eta != 1:
-        raise UnsupportedError(f"sampling implemented for eta = 1 only, got {dist.eta}")
     rng = seed if isinstance(seed, np.random.Generator) else stream(int(seed), TNB_RUNS)
     u = rng.random() if size is None else rng.random(size)
     k = np.ceil(np.log(u) / math.log1p(-dist.r))
@@ -129,31 +129,15 @@ def sample_tnb(dist: TnbDist, seed, size: int | None = None):
 
 
 def tnb_pmf(dist: TnbDist, k: int) -> float:
-    """P(K = k); closed forms for eta in {0, 1}."""
+    """P(K = k) = r (1 - r)^(k - 1)."""
     if k < 1:
         return 0.0
-    if dist.eta == 1:
-        return dist.r * (1.0 - dist.r) ** (k - 1)
-    if dist.eta == 0:
-        return (1.0 - dist.r) ** k / (k * math.log(1.0 / dist.r))
-    raise UnsupportedError(f"closed forms cover eta in {{0, 1}}, got {dist.eta}")
-
-
-def tnb_mean(dist: TnbDist) -> float:
-    if dist.eta == 1:
-        return 1.0 / dist.r
-    if dist.eta == 0:
-        return (1.0 / dist.r - 1.0) / math.log(1.0 / dist.r)
-    raise UnsupportedError(f"closed forms cover eta in {{0, 1}}, got {dist.eta}")
+    return dist.r * (1.0 - dist.r) ** (k - 1)
 
 
 def tnb_pgf(dist: TnbDist, x: float) -> float:
-    """E[x^K] for x in [0, 1]."""
-    if dist.eta == 1:
-        return dist.r * x / (1.0 - (1.0 - dist.r) * x)
-    if dist.eta == 0:
-        return math.log(1.0 - (1.0 - dist.r) * x) / math.log(dist.r)
-    raise UnsupportedError(f"closed forms cover eta in {{0, 1}}, got {dist.eta}")
+    """E[x^K] = r x / (1 - (1 - r) x) for x in [0, 1]."""
+    return dist.r * x / (1.0 - (1.0 - dist.r) * x)
 
 
 def tnb_not_selected_prob(dist: TnbDist, grid_size: int) -> float:
@@ -180,7 +164,6 @@ def priv_tune(
     mu: float,
     spec: ScoreSpec,
     seed: int = 0,
-    run_cap: int = DEFAULT_RUN_CAP,
     threads: int = 1,
 ) -> tuple[LinearModel, Candidate]:
     """Advanced selector: K ~ dist runs on uniformly drawn candidates.
@@ -192,10 +175,10 @@ def priv_tune(
     if not candidates:
         raise ValueError("need at least one candidate")
     k_runs = sample_tnb(dist, stream(seed, TNB_RUNS))
-    if k_runs > run_cap:
+    if k_runs > DEFAULT_RUN_CAP:
         raise ResourceError(
-            f"drew K = {k_runs} runs, above the cap {run_cap}; raise run_cap "
-            f"or use the iterate tuner"
+            f"drew K = {k_runs} base runs, above the cap of {DEFAULT_RUN_CAP}; "
+            f"the iterate tuner (--tuner iterate) runs one per candidate"
         )
     picks = stream(seed, CANDIDATE_PICK).integers(0, len(candidates), size=k_runs)
     base_mu, noise_std = per_candidate_budget(mu, 1)

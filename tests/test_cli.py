@@ -129,6 +129,26 @@ def test_train_config_non_integer_seed_exit_2(tmp_path, capsys, small_dataset, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("out", 1), ("dataset", 5), ("tuner", ["iterate"]), ("format", None),
+    ("score", 1.0), ("mode", True), ("epsilon", "2"), ("delta", True),
+    ("epsilon", [2]),
+])
+def test_train_config_mistyped_value_exit_2(tmp_path, capsys, small_dataset, monkeypatch,
+                                            key, value):
+    import dpmargin.cli as cli
+
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda *a: pytest.fail("read data before checking the config"))
+    cfg = tmp_path / "run.json"
+    doc = {"dataset": str(small_dataset), "epsilon": 2, "delta": 1e-6, "seed": 5}
+    doc[key] = value
+    cfg.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 2 and key in err
+    assert stdout == ""
+
+
 def test_train_zero_feature_libsvm_exit_1(tmp_path, capsys):
     data = tmp_path / "labels_only.libsvm"
     data.write_text("1\n-1\n1\n")
@@ -224,6 +244,8 @@ def test_eval_dimension_mismatch_fails(tmp_path, capsys, small_dataset):
     {"weights": [0.0] * 8, "d": "x"},
     {"weights": [0.0] * 8, "d": 2.7},
     {"weights": [0.0] * 8, "d": True},
+    {"weights": [0.0] * 8, "d": 8, "gamma_out": "x"},
+    {"weights": [0.0] * 8, "d": 8, "gamma_out": -1.0},
 ])
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_eval_malformed_model_file_exit_1(tmp_path, capsys, small_dataset, doc,

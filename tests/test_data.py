@@ -13,7 +13,6 @@ from dpmargin.data import (
     hard_margin_direction,
     load_dataset,
     min_outliers_oracle,
-    normalized_margin_oracle,
     save_csv,
     synth_margin_dataset,
 )
@@ -26,6 +25,7 @@ from dpmargin.errors import (
 )
 
 from conftest import make_dataset, random_unit_dataset
+from oracles import normalized_margin_oracle, point
 
 
 # ---------------------------------------------------------------- loading
@@ -309,13 +309,13 @@ def test_subset_and_point_read_only_the_selected_rows(monkeypatch, rng):
     ds = make_dataset(feats, np.where(rng.random(12) < 0.5, 1, -1))
     monkeypatch.setattr(Dataset, "features",
                         property(lambda self: pytest.fail("read the whole matrix")))
-    sub, point = ds.subset([7, 2, 5]), ds.point(2)
+    sub, row = ds.subset([7, 2, 5]), point(ds, 2)
     monkeypatch.undo()
     assert sub.features.view(np.uint64).tolist() == feats[[2, 5, 7]].view(np.uint64).tolist()
     assert sub.labels.tolist() == ds.labels[[2, 5, 7]].tolist()
     assert sub.norm_bound == ds.norm_bound
-    assert point.features.view(np.uint64).tolist() == feats[2].view(np.uint64).tolist()
-    assert point.label == int(ds.labels[2])
+    assert row.features.view(np.uint64).tolist() == feats[2].view(np.uint64).tolist()
+    assert row.label == int(ds.labels[2])
 
 
 def test_load_rejects_single_row(tmp_path):

@@ -3,18 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmargin.data import LabeledPoint
 from dpmargin.errors import DimensionError
-from dpmargin.loss import (
-    LossSpec,
-    empirical_risk,
-    hinge_loss,
-    hinge_sensitivity,
-    hinge_subgrad,
-    zero_one_loss,
-)
+from dpmargin.loss import LossSpec, empirical_risk, hinge_sensitivity
 
-from conftest import random_unit_dataset
+from conftest import make_dataset, random_unit_dataset
+from oracles import LabeledPoint, hinge_loss, hinge_subgrad, point, zero_one_loss
 
 
 def pt(x, y):
@@ -36,8 +29,10 @@ def test_hinge_hand_value():
 
 
 def test_hinge_dim_mismatch():
-    with pytest.raises(DimensionError):
-        hinge_loss(np.zeros(3), pt([1.0, 0.0], 1), 1.0)
+    ds = make_dataset([[1.0, 0.0], [0.0, 1.0]], [1, -1])
+    for spec in (LossSpec("hinge", 1.0), LossSpec("zero_one")):
+        with pytest.raises(DimensionError):
+            empirical_risk(np.zeros(3), ds, spec)
 
 
 def test_subgrad_active_region():
@@ -85,8 +80,6 @@ def test_empirical_risk_all_correct_zero_one(rng):
     # a separable construction instead
     w = np.array([1.0, 0.0, 0.0])
     labels = np.where(ds.features @ w >= 0, 1, -1)
-    from conftest import make_dataset
-
     aligned = make_dataset(ds.features, labels)
     assert empirical_risk(w, aligned, LossSpec("zero_one")) == 0.0
 
@@ -94,18 +87,16 @@ def test_empirical_risk_all_correct_zero_one(rng):
 def test_empirical_risk_averaged_is_summed_over_n(rng):
     ds = random_unit_dataset(rng, 7, 3)
     w = rng.standard_normal(3)
-    spec = LossSpec("hinge", 0.7)
-    assert empirical_risk(w, ds, spec, "averaged") == pytest.approx(
-        empirical_risk(w, ds, spec, "summed") / ds.n, rel=1e-15
-    )
+    errors = sum(zero_one_loss(w, point(ds, i)) for i in range(ds.n))
+    assert empirical_risk(w, ds, LossSpec("zero_one")) == errors / ds.n
 
 
 def test_empirical_risk_matches_per_point_loop(rng):
     ds = random_unit_dataset(rng, 7, 4)
     w = rng.standard_normal(4)
     spec = LossSpec("hinge", 0.5)
-    total = sum(hinge_loss(w, ds.point(i), 0.5) for i in range(ds.n))
-    assert empirical_risk(w, ds, spec, "summed") == pytest.approx(total, rel=1e-12)
+    total = sum(hinge_loss(w, point(ds, i), 0.5) for i in range(ds.n))
+    assert empirical_risk(w, ds, spec) == pytest.approx(total / ds.n, rel=1e-12)
 
 
 def test_hinge_sensitivity_values():

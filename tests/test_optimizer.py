@@ -148,11 +148,11 @@ def test_ngd_draws_exactly_t_times_k_normals(monkeypatch):
         assert [r.drawn for r in recorders] == [12 * ds.dim]
 
 
-def full_block_reference(ds, c, schedule):
+def full_block_reference(ds, c, schedule, seed):
     """The descent loop drawing noise in full 512-row blocks; (averaged, last)."""
     signed = ds.signed_features()
     T, sigma, eta = schedule.T, schedule.sigma, schedule.eta
-    rng = stream(schedule.seed, NGD_NOISE)
+    rng = stream(seed, NGD_NOISE)
     w = np.zeros(ds.dim)
     averaged = np.zeros(ds.dim)
     for t in range(T):
@@ -203,10 +203,9 @@ def dense_gram_reference(signed, c, T, sigma, eta, averaging, rng):
     return w / T if averaging else w
 
 
-def dense_reference_weights(ds, c, schedule):
+def dense_reference_weights(ds, c, schedule, averaging, seed):
     return dense_gram_reference(ds.signed_features(), c, schedule.T, schedule.sigma,
-                                schedule.eta, schedule.output_mode == "averaged",
-                                stream(schedule.seed, NGD_NOISE))
+                                schedule.eta, averaging, stream(seed, NGD_NOISE))
 
 
 @pytest.mark.parametrize("T", [1, 12, 511, 512, 513, 1100])
@@ -222,15 +221,16 @@ def test_ngd_noise_matches_full_block_draws(T):
             model = ngd(c, ds, mu=0.5, mode=mode, seed=7,
                         overrides=NgdOverrides(T=T, sigma=sigma))
             schedule = model.provenance.schedule
-            averaged, last = full_block_reference(ds, c, schedule)
+            averaged, last = full_block_reference(ds, c, schedule, 7)
             want = averaged if mode == "averaged" else last
             if ds.n >= 2 * ds.dim:
                 np.testing.assert_array_equal(model.weights, want)
             else:
                 np.testing.assert_allclose(model.weights, want, rtol=1e-12)
             if _gram_pays(ds.n, ds.dim, T):
-                np.testing.assert_array_equal(model.weights,
-                                              dense_reference_weights(ds, c, schedule))
+                np.testing.assert_array_equal(
+                    model.weights,
+                    dense_reference_weights(ds, c, schedule, mode == "averaged", 7))
 
 
 def test_gram_form_runs_where_it_pays():
@@ -252,12 +252,13 @@ def test_gram_form_jl_run_matches_reference():
     for mode in ("averaged", "last_iterate"):
         model = jlgd(phi, 0.13, ds, mu=0.5, mode=mode, seed=2)
         schedule = model.provenance.schedule
-        averaged, last = full_block_reference(low, 0.13, schedule)
+        averaged, last = full_block_reference(low, 0.13, schedule, 2)
         want = lift(phi, averaged if mode == "averaged" else last)
         np.testing.assert_allclose(model.weights, want, rtol=1e-12,
                                    atol=1e-14 * np.abs(want).max())
         np.testing.assert_array_equal(
-            model.weights, lift(phi, dense_reference_weights(low, 0.13, schedule)))
+            model.weights,
+            lift(phi, dense_reference_weights(low, 0.13, schedule, mode == "averaged", 2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,14 +270,15 @@ def test_both_descent_forms_match_reference(n, k, T, c, averaged, data_seed):
     mode = "averaged" if averaged else "last_iterate"
     schedule = ngd(c, ds, mu=0.5, mode=mode, seed=data_seed,
                    overrides=NgdOverrides(T=T)).provenance.schedule
-    want = full_block_reference(ds, c, schedule)[0 if averaged else 1]
+    want = full_block_reference(ds, c, schedule, data_seed)[0 if averaged else 1]
     for descent in (_feature_descent, _gram_descent):
         got = descent(ds, c, T, schedule.sigma, schedule.eta, averaged,
                       stream(data_seed, NGD_NOISE))
         np.testing.assert_allclose(got, want, rtol=1e-9,
                                    atol=1e-12 * np.abs(want).max())
     # the Gram form reusing G a equals the loop recomputing it every step
-    np.testing.assert_array_equal(got, dense_reference_weights(ds, c, schedule))
+    np.testing.assert_array_equal(
+        got, dense_reference_weights(ds, c, schedule, averaged, data_seed))
 
 
 # ---------------------------------------------------------------- Gram-form reuse
@@ -308,7 +310,8 @@ def test_gram_reuse_skips_products_while_the_active_set_holds(monkeypatch):
     assert T == 225 and _gram_pays(ds.n, ds.dim, T)
     assert 1 <= len(products) < T // 2
     np.testing.assert_array_equal(
-        model.weights, dense_reference_weights(ds, 0.25 / 3, model.provenance.schedule))
+        model.weights,
+        dense_reference_weights(ds, 0.25 / 3, model.provenance.schedule, True, 5))
 
 
 # ---------------------------------------------------------------- dynamics
@@ -418,7 +421,6 @@ def test_jlgd_noiseless_end_to_end_zero_risk():
 def test_jlgd_budget_provenance():
     ds = planted(n=40, d=6, gamma=0.4, seed=1)
     model = jlgd(IdentityMap(6), 0.1, ds, mu=0.25, seed=3)
-    assert model.provenance.mu == 0.25
     assert model.provenance.k == 6
     assert model.provenance.jl_seed is None
 

@@ -16,6 +16,8 @@ from dpmargin.privacy import (
     tnb_tune_privacy,
 )
 
+from oracles import tnb_tune_privacy_exact
+
 
 # ---------------------------------------------------------------- composition
 
@@ -132,9 +134,15 @@ def test_per_candidate_budget_frozen_example():
 
 def test_tnb_tune_privacy_closed_form():
     mu, r, delta = 0.05, 1e-4, 1e-5
-    expected = 1.5 * mu**2 + 3 * mu * math.sqrt(2 * math.log(1e9)) + delta
+    root = math.sqrt(2 * math.log(1e9))
+    expected = 6 * mu * root + delta
     assert tnb_tune_privacy(mu, r, delta) == pytest.approx(expected, abs=1e-12)
-    assert expected == pytest.approx(0.9694447118, abs=1e-9)
+    assert expected == pytest.approx(1.9313794237, abs=1e-9)
+    exact = 1.5 * mu**2 + 3 * mu * root + delta
+    assert tnb_tune_privacy_exact(mu, r, delta) == pytest.approx(exact, abs=1e-12)
+    assert exact == pytest.approx(0.9694447118, abs=1e-9)
+    with pytest.raises(PrivacyBudgetError):
+        tnb_tune_privacy(2 * root * 1.01, r, delta)
 
 
 def test_tnb_simplified_dominates(rng):
@@ -143,9 +151,7 @@ def test_tnb_simplified_dominates(rng):
         r = float(10 ** rng.uniform(-6, -1))
         bound = 2 * math.sqrt(2 * math.log(1 / (r * delta)))
         mu = float(rng.uniform(0.001, bound))
-        assert tnb_tune_privacy(mu, r, delta, simplified=True) >= tnb_tune_privacy(
-            mu, r, delta
-        )
+        assert tnb_tune_privacy(mu, r, delta) >= tnb_tune_privacy_exact(mu, r, delta)
 
 
 def test_tnb_tune_privacy_limit_is_delta():
@@ -157,7 +163,7 @@ def test_master_tnb_budget_round_trip():
     eps, delta, grid, n = 1.0, 1e-5, 8, 100
     mu, r = master_tnb_budget(eps, delta, grid, n)
     assert r == pytest.approx(1.0 / 79992, abs=1e-18)
-    assert tnb_tune_privacy(mu, r, delta, simplified=True) == pytest.approx(
+    assert tnb_tune_privacy(mu, r, delta) == pytest.approx(
         eps + delta, abs=1e-12
     )
 
