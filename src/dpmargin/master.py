@@ -1,8 +1,10 @@
 """Top-level mechanism: margin grid, candidate assembly, tuner dispatch.
 
 The only data-dependent inputs to candidate construction are the public
-quantities n, d and the norm bound; every projection matrix is sampled from
-(master seed, candidate index) before the optimizer ever reads a feature.
+quantities n, d and the norm bound.  Each projection is fixed by its
+(k, d, seed), the seed drawn from (master seed, candidate index), before the
+optimizer ever reads a feature; its entries are generated from those when a
+base run reads them, and held only while the tuner reuses them.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def margin_grid(n: int, b: float = 1.0) -> list[float]:
 
 
 def build_candidates(n: int, d: int, b: float, beta: float, seed: int) -> list[Candidate]:
-    """Sample one data-oblivious projection per grid margin.
+    """Fix one data-oblivious projection per grid margin.
 
     When the formula dimension reaches the ambient dimension, the identity
     map is used: it preserves margins exactly, strictly dominating the

@@ -279,7 +279,9 @@ def jlgd(
     """Project-and-clip, run ngd in k dimensions, lift the weights back.
 
     The reference-point norm is 1: the analysis anchor is the normalized
-    max-margin separator, which the algorithm never needs explicitly.
+    max-margin separator, which the algorithm never needs explicitly.  A
+    JL matrix that is not held (`JlMatrix.hold`) is generated twice, once
+    to project and once to lift.
     """
     if phi.d != dataset.dim:
         raise DimensionError(f"projection expects d={phi.d}, dataset has {dataset.dim}")
@@ -289,5 +291,6 @@ def jlgd(
         return ngd(c, dataset, mu, mode=mode, seed=seed, overrides=overrides)
     low = project_and_clip(phi, dataset, dataset.norm_bound)
     model_k = ngd(c, low, mu, mode=mode, seed=seed, overrides=overrides)
+    del low  # the n x k rows and their G need not outlive the k x d entries lift builds
     prov = replace(model_k.provenance, jl_seed=phi.seed)
     return LinearModel(lift(phi, model_k.weights), dataset.dim, prov)

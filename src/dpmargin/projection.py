@@ -19,7 +19,8 @@ from .errors import DimensionError
 #: constant, 8 keeps the distortion checks comfortably green.  Override per call.
 DEFAULT_C_JL = 8.0
 
-#: Above this many entries a matrix is regenerated on demand instead of cached.
+#: `JlMatrix.hold` keeps the entries of a matrix of at most this many
+#: entries; a larger one is still regenerated at every read.
 CACHE_LIMIT = 10**8
 
 
@@ -47,18 +48,23 @@ def projection_dim(
 
 @dataclass(frozen=True)
 class JlMatrix:
-    """Seeded k x d matrix with entries +/- 1/sqrt(k), regenerable on demand."""
+    """Seeded k x d matrix with entries +/- 1/sqrt(k).
+
+    The entries are a pure function of (k, d, seed), so a matrix from
+    `sample_jl` keeps none: every read of `entries` generates them, and
+    `project_points` and `lift_weights` drop them when done.  `hold` returns
+    an equal matrix that generates its entries once and keeps them, for a
+    caller that reads them many times.
+    """
 
     k: int
     d: int
     seed: int
-    _cached: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _held: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1 or self.d < 1:
             raise DimensionError("k and d must be >= 1")
-        if self.k * self.d <= CACHE_LIMIT:
-            object.__setattr__(self, "_cached", self._generate())
 
     def _generate(self) -> np.ndarray:
         rng = stream(self.seed, JL_SIGNS)
@@ -70,9 +76,19 @@ class JlMatrix:
         entries.setflags(write=False)
         return entries
 
+    def hold(self) -> JlMatrix:
+        """This matrix with its entries generated now and kept while it lives.
+
+        Above CACHE_LIMIT entries it returns this matrix, which regenerates
+        them at every read.
+        """
+        if self.k * self.d > CACHE_LIMIT:
+            return self
+        return JlMatrix(self.k, self.d, self.seed, self._generate())
+
     @property
     def entries(self) -> np.ndarray:
-        return self._cached if self._cached is not None else self._generate()
+        return self._held if self._held is not None else self._generate()
 
     def project_points(self, features: np.ndarray) -> np.ndarray:
         if features.shape[-1] != self.d:

@@ -10,6 +10,7 @@ than empirical risk.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .data import Dataset
 from .errors import MissingContextError, ResourceError
 from .optimizer import LinearModel
 from .privacy import per_candidate_budget
+from .projection import JlMatrix
 
 #: priv_tune refuses to launch more base runs than this; read at call time.
 DEFAULT_RUN_CAP = 10**6
@@ -195,12 +197,18 @@ def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: floa
     and each model is scored as it arrives.  Only the running minimum is
     kept, so a serial run holds one model at a time besides the best so far;
     the strict `<` keeps the first index on ties, as `noisy_argmin` does.
+
+    A JL matrix that more than one run reads is generated once, before the
+    first run, and held until the selection ends; one that a single run
+    reads is generated by that run.  The candidate returned is the
+    caller's own.
     """
     noise = score_noise(noise_std, len(runs), stream(seed, SCORE_NOISE))
     seeds = [child_seed(seed, CANDIDATE_SEED, i) for i in range(len(runs))]
+    held = _hold_reused(runs)
 
     def run(i):
-        return base(runs[i], base_mu, seeds[i])
+        return base(held.get(id(runs[i]), runs[i]), base_mu, seeds[i])
 
     best = None
     for i, model in enumerate(_run_indexed(run, len(runs), threads)):
@@ -208,6 +216,16 @@ def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: floa
         if best is None or noisy < best[0]:
             best = (noisy, model, runs[i])
     return best[1], best[2]
+
+
+def _hold_reused(runs: list[Candidate]) -> dict[int, Candidate]:
+    """Each JL candidate that `runs` lists more than once, mapped from its id
+    to a copy whose matrix is held (`JlMatrix.hold`)."""
+    uses = Counter(map(id, runs))
+    distinct = {id(cand): cand for cand in runs}
+    return {key: Candidate(cand.gamma, cand.phi.hold())
+            for key, cand in distinct.items()
+            if uses[key] > 1 and isinstance(cand.phi, JlMatrix)}
 
 
 def _run_indexed(fn, count: int, threads: int):

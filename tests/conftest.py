@@ -3,6 +3,7 @@ import pytest
 
 from dpmargin.data import Dataset
 from dpmargin.optimizer import LinearModel
+from dpmargin.projection import JlMatrix
 
 
 @pytest.fixture
@@ -36,6 +37,20 @@ def gram_calls(monkeypatch):
         return gram
 
     monkeypatch.setattr(Dataset, "gram", recording)
+    return calls
+
+
+@pytest.fixture
+def jl_generations(monkeypatch):
+    """The JlMatrix of every JlMatrix._generate call while the test runs, in order."""
+    calls = []
+    original = JlMatrix._generate
+
+    def recording(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(JlMatrix, "_generate", recording)
     return calls
 
 

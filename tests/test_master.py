@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -172,6 +174,34 @@ def test_master_projections_sampled_before_any_training(monkeypatch):
     dp_adaptive_margin(ds, MasterConfig(epsilon=1.0, delta=1e-5, seed=2))
     assert "sample" in events and "train" in events
     assert events.index("train") > max(i for i, e in enumerate(events) if e == "sample")
+
+
+def test_master_iterate_generates_each_jl_matrix_to_project_and_to_lift(jl_generations):
+    ds = synth_margin_dataset(40, 400, 0.4, 0, seed=9)[0]
+    jl = [c.phi for c in build_candidates(ds.n, ds.dim, 1.0, 1.0 / ds.n**2, 2)
+          if isinstance(c.phi, JlMatrix)]
+    assert jl
+    jl_generations.clear()
+    dp_adaptive_margin(ds, MasterConfig(epsilon=1.0, delta=1e-5, seed=2))
+    assert Counter(jl_generations) == {phi: 2 for phi in jl}
+
+
+def test_master_iterate_peak_holds_one_jl_matrix():
+    ds = synth_margin_dataset(200, 2000, 0.3, 2, seed=21)[0]
+    n, d = ds.n, ds.dim
+    ks = [c.phi.k for c in build_candidates(n, d, 1.0, 1.0 / n**2, 7)
+          if isinstance(c.phi, JlMatrix)]
+    k = max(ks)
+    # the largest matrix, its projection, the data and G, in float64
+    bound = 8 * (k * d + n * k + n * d + n * n)
+    assert 8 * sum(ks) * d > bound  # all matrices at once would not fit
+    tracemalloc.start()
+    try:
+        dp_adaptive_margin(ds, MasterConfig(epsilon=1.0, delta=1e-5, seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_master_ledger_composition_exact():

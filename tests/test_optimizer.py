@@ -434,6 +434,16 @@ def test_jlgd_real_projection_records_seed():
     assert model.dim == 30
 
 
+def test_jlgd_same_bits_on_a_held_and_an_unheld_matrix(jl_generations):
+    ds = planted(n=40, d=30, gamma=0.4, seed=1)
+    phi = sample_jl(10, 30, seed=99)
+    unheld = jlgd(phi, 0.13, ds, mu=0.3, seed=3)
+    assert jl_generations == [phi, phi]  # once to project, once to lift
+    held = phi.hold()
+    assert jlgd(held, 0.13, ds, mu=0.3, seed=3).weights.tobytes() == unheld.weights.tobytes()
+    assert len(jl_generations) == 3  # only `hold` generated for the held run
+
+
 def test_inlier_outlier_empirical_bound():
     # averaged hinge risk <= C_emp (b^2 polylog/(n gamma^2 mu) + b m/(n gamma));
     # C_emp = 1 measured with ~5x headroom at these parameters

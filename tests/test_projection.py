@@ -69,9 +69,22 @@ def test_sample_jl_mean_within_three_sigma():
     assert abs(mean) <= 3 * sigma_mean
 
 
-def test_jl_matrix_regeneration_matches_cache():
+def test_jl_matrix_held_entries_match_regenerated(jl_generations):
     phi = sample_jl(6, 4, seed=3)
-    np.testing.assert_array_equal(phi.entries, phi._generate())
+    assert jl_generations == []  # sampling fixes (k, d, seed) only
+    held = phi.hold()
+    assert held == phi and jl_generations == [phi]
+    assert held.entries is held.entries and phi.entries is not phi.entries
+    assert held.entries.tobytes() == phi.entries.tobytes()
+    assert len(jl_generations) == 4  # hold once, then each of the 3 reads of phi
+
+
+def test_jl_matrix_above_cache_limit_is_not_held(monkeypatch, jl_generations):
+    import dpmargin.projection as projection
+
+    monkeypatch.setattr(projection, "CACHE_LIMIT", 6 * 4 - 1)
+    phi = sample_jl(6, 4, seed=3)
+    assert phi.hold() is phi and jl_generations == []
 
 
 # ---------------------------------------------------------------- project/clip

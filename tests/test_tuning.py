@@ -1,5 +1,7 @@
 import math
+import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from dpmargin._seeding import (
 )
 from dpmargin.data import synth_margin_dataset
 from dpmargin.errors import MissingContextError, ResourceError
-from dpmargin.optimizer import LinearModel, Provenance
+from dpmargin.optimizer import LinearModel, Provenance, jlgd
 from dpmargin.privacy import per_candidate_budget
-from dpmargin.projection import IdentityMap
+from dpmargin.projection import IdentityMap, sample_jl
 from dpmargin.tuning import (
     Candidate,
     ScoreSpec,
@@ -521,6 +523,41 @@ def test_streamed_selection_matches_noisy_argmin(threads):
         for (model, cand), (want_model, want_cand) in cases:
             assert cand is want_cand
             np.testing.assert_array_equal(model.weights, want_model.weights)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
+        threads, jl_generations):
+    ds = planted(n=40, d=30, seed=20)
+    cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
+             Candidate(0.8, sample_jl(6, 30, seed=2)),
+             Candidate(0.1, IdentityMap(30))]
+    dist = TnbDist(1, 0.2)
+
+    def uses(seed):
+        k_runs = sample_tnb(dist, stream(seed, TNB_RUNS))
+        picks = stream(seed, CANDIDATE_PICK).integers(0, len(cands), size=k_runs)
+        return np.bincount(picks, minlength=len(cands))[:2]  # the JL candidates
+
+    # one JL candidate runs more than once, the other exactly once
+    seed = next(s for s in range(200) if sorted(uses(s))[0] == 1 and max(uses(s)) > 1)
+    reused = [c.phi for c, m in zip(cands, uses(seed)) if m > 1]
+    single = [c.phi for c, m in zip(cands, uses(seed)) if m == 1]
+    at_first_run = []
+    lock = threading.Lock()
+
+    def base(candidate, mu, s):
+        with lock:
+            if not at_first_run:
+                at_first_run.append(list(jl_generations))
+        return jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+
+    _, picked = priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"),
+                          seed=seed, threads=threads)
+    assert at_first_run == [reused]
+    assert Counter(jl_generations) == {**{phi: 1 for phi in reused},
+                                       **{phi: 2 for phi in single}}
+    assert any(picked is c for c in cands)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
