@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 argument/precondition failure.
 Every command is deterministic given --seed; without it a seed is drawn from
-system entropy and logged.
+system entropy and logged.  The environment variables SOURCE_DATE_EPOCH and
+DPMARGIN_T_CAP are checked before any command reads or writes data.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from .loss import LossSpec, empirical_risk
 from .master import (
     MasterConfig,
     _finite_number,
+    creation_stamp,
     dp_adaptive_margin,
     margin_grid,
     model_from_json,
     model_to_json,
     training_risk,
 )
-from .optimizer import NgdOverrides, ngd
+from .optimizer import NgdOverrides, iteration_cap, ngd
 from .privacy import budget_ledger
 
 #: Above this size synth reports the planted margin instead of the oracle value.
@@ -275,6 +277,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     json_errors = getattr(args, "json_errors", False)
     try:
+        # malformed environment settings are refused before any work
+        creation_stamp()
+        iteration_cap()
         return args.func(args)
     except (PrivacyBudgetError, GenerationError, ValueError) as exc:
         return _fail(str(exc), 2, json_errors)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from ._seeding import SYNTH, stream
 from .errors import (
@@ -104,13 +103,19 @@ class Dataset:
         return self._signed
 
     def gram(self) -> np.ndarray:
-        """G = S S^T for the signed rows S, built on first use and then shared."""
+        """G = S S^T for the signed rows S, built on first use and then shared
+        until `release_gram`."""
         with _GRAM_LOCK:
             if self._gram is None:
                 gram = self._signed @ self._signed.T
                 gram.setflags(write=False)
                 object.__setattr__(self, "_gram", gram)
-        return self._gram
+            return self._gram
+
+    def release_gram(self) -> None:
+        """Drop the shared G (8 n^2 bytes); a later `gram` call builds it again."""
+        with _GRAM_LOCK:
+            object.__setattr__(self, "_gram", None)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(sorted(indices), dtype=np.intp)
@@ -319,6 +324,11 @@ def _sphere_cap_scores(rng: np.random.Generator, count: int, d: int, gamma: floa
     valid parameters (rejection would need ~1/P(|t|>=gamma) draws per point,
     which is astronomically many in high dimension).
     """
+    # imported here, not at module level: scipy.special (and the numpy.f2py
+    # it loads) would add about 20 MB and 0.3 s to every process, and only
+    # synthetic generation reads it
+    from scipy.special import betainc, betaincinv
+
     a, bb = 0.5, (d - 1) / 2.0
     lo = betainc(a, bb, gamma * gamma) if gamma < 1.0 else 1.0
     u = rng.random(count)

@@ -3,15 +3,16 @@
 The only data-dependent inputs to candidate construction are the public
 quantities n, d and the norm bound.  Each projection is fixed by its
 (k, d, seed), the seed drawn from (master seed, candidate index), before the
-optimizer ever reads a feature; its entries are generated from those when a
-base run reads them, and held only while the tuner reuses them.
+optimizer ever reads a feature.  A base run generates its entries from those
+one block of rows at a time, to project and again to lift; the tuner holds a
+whole matrix, with the rows it projects, only for a candidate it runs more
+than once, and releases the dataset's Gram matrix after its last reader.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from ._seeding import JL_SIGNS, child_seed
 from .data import Dataset, geometric_margin_oracle, min_outliers_oracle, row_norms
 from .errors import DataFormatError, SizeError
 from .loss import LossSpec, empirical_risk
-from .optimizer import LinearModel, Provenance, jlgd
+from .optimizer import LinearModel, Provenance, env_int, jlgd
 from .privacy import budget_ledger
 from .projection import IdentityMap, projection_dim, sample_jl
 from .tuning import Candidate, ScoreSpec, TnbDist, iter_tune, priv_tune
@@ -119,7 +120,7 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
     def base(candidate: Candidate, mu_run: float, run_seed: int) -> LinearModel:
         # gamma/3 is the margin-preservation target; hard-wired in master mode.
         return jlgd(candidate.phi, candidate.gamma / 3.0, dataset, mu_run,
-                    mode=mode, seed=run_seed)
+                    mode=mode, seed=run_seed, low=candidate.rows)
 
     ledger = budget_ledger(cfg.epsilon, cfg.delta, cfg.tuner, grid_size, n)
     if cfg.tuner == "iterate":
@@ -166,7 +167,7 @@ def grid_competitiveness_check(dataset: Dataset, epsilon: float, tol: float = 1e
 
 def model_to_json(result: MasterResult, cfg: MasterConfig) -> str:
     """Serialize (model + provenance + ledger); honours SOURCE_DATE_EPOCH."""
-    stamp = int(os.environ.get("SOURCE_DATE_EPOCH", time.time()))
+    stamp = creation_stamp()
     prov = result.model.provenance
     doc = {
         "weights": [float(v) for v in result.model.weights],
@@ -183,6 +184,11 @@ def model_to_json(result: MasterResult, cfg: MasterConfig) -> str:
         "timestamps": {"created_unix": stamp},
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def creation_stamp() -> int:
+    """SOURCE_DATE_EPOCH, an integer >= 0, when set; otherwise the current time."""
+    return env_int("SOURCE_DATE_EPOCH", int(time.time()), 0)
 
 
 def model_from_json(text: str) -> tuple[LinearModel, dict]:

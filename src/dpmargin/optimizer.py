@@ -27,9 +27,27 @@ _NOISE_BLOCK = 512
 _DEFAULT_T_CAP = 10**7
 
 
+def env_int(name: str, default, least: int):
+    """The integer in environment variable `name`, or `default` when unset.
+
+    A value that is not an integer >= `least` raises ValueError naming the
+    variable.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {raw!r}")
+    return value
+
+
 def iteration_cap() -> int:
     """Hard cap on T; override with the DPMARGIN_T_CAP environment variable."""
-    return int(os.environ.get("DPMARGIN_T_CAP", _DEFAULT_T_CAP))
+    return env_int("DPMARGIN_T_CAP", _DEFAULT_T_CAP, 1)
 
 
 @dataclass(frozen=True)
@@ -140,9 +158,11 @@ def ngd(
     products a step.  The Gram form keeps the scores S w (S the signed
     rows), costs at most one n x n product a step with G = S S^T, and
     rebuilds w at the end; it runs when n < 2k and T is long enough to repay
-    G (see `_gram_pays`).  G is built once per dataset (`Dataset.gram`), so
-    every Gram-form run on one dataset shares it, and the n x n product runs
-    only at steps whose hinge active set differs from the previous step's.
+    G (see `_gram_pays`).  G is built by the first run that reads it and
+    kept on the dataset (`Dataset.gram`), so every Gram-form run on one
+    dataset shares it until the tuner releases it after its last reader; the
+    n x n product runs only at steps whose hinge active set differs from the
+    previous step's.
     Its sums run in another order, so its weights agree with the
     feature-space form to about 1e-15 relative, not bit for bit.
     """
@@ -267,6 +287,12 @@ def _gram_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
     return w / T if averaging else w
 
 
+def project_rows(phi, dataset: Dataset) -> Dataset:
+    """The rows `jlgd` descends on: `dataset` projected by phi and clipped
+    at twice its norm bound."""
+    return project_and_clip(phi, dataset, dataset.norm_bound)
+
+
 def jlgd(
     phi,
     c: float,
@@ -275,13 +301,16 @@ def jlgd(
     mode: str = "averaged",
     seed: int = 0,
     overrides: NgdOverrides | None = None,
+    low: Dataset | None = None,
 ) -> LinearModel:
     """Project-and-clip, run ngd in k dimensions, lift the weights back.
 
     The reference-point norm is 1: the analysis anchor is the normalized
     max-margin separator, which the algorithm never needs explicitly.  A
-    JL matrix that is not held (`JlMatrix.hold`) is generated twice, once
-    to project and once to lift.
+    JL matrix that is not held (`JlMatrix.hold`) is generated twice, a block
+    at a time, once to project and once to lift.  `low`, when given, is
+    `project_rows(phi, dataset)` held by a caller that runs phi many times;
+    the run then skips the projection.
     """
     if phi.d != dataset.dim:
         raise DimensionError(f"projection expects d={phi.d}, dataset has {dataset.dim}")
@@ -289,8 +318,9 @@ def jlgd(
         # no projection: norms already within the original ball, and ngd's
         # model already records k = d and no JL seed
         return ngd(c, dataset, mu, mode=mode, seed=seed, overrides=overrides)
-    low = project_and_clip(phi, dataset, dataset.norm_bound)
+    if low is None:
+        low = project_rows(phi, dataset)
     model_k = ngd(c, low, mu, mode=mode, seed=seed, overrides=overrides)
-    del low  # the n x k rows and their G need not outlive the k x d entries lift builds
+    del low  # unless the caller holds them, the n x k rows and their G go before the lift
     prov = replace(model_k.provenance, jl_seed=phi.seed)
     return LinearModel(lift(phi, model_k.weights), dataset.dim, prov)

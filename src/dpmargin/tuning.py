@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._seeding import CANDIDATE_PICK, CANDIDATE_SEED, SCORE_NOISE, TNB_RUNS, child_seed, stream
 from .data import Dataset
 from .errors import MissingContextError, ResourceError
-from .optimizer import LinearModel
+from .optimizer import LinearModel, project_rows
 from .privacy import per_candidate_budget
 from .projection import JlMatrix
 
@@ -29,10 +29,15 @@ DEFAULT_RUN_CAP = 10**6
 
 @dataclass(frozen=True)
 class Candidate:
-    """A margin value paired with its data-oblivious projection."""
+    """A margin value paired with its data-oblivious projection.
+
+    `rows`, when set, holds the training set's projected, clipped rows
+    (`optimizer.project_rows`), for base runs to read instead of projecting.
+    """
 
     gamma: float
     phi: object  # JlMatrix or IdentityMap
+    rows: Dataset | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -198,44 +203,57 @@ def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: floa
     kept, so a serial run holds one model at a time besides the best so far;
     the strict `<` keeps the first index on ties, as `noisy_argmin` does.
 
-    A JL matrix that more than one run reads is generated once, before the
-    first run, and held until the selection ends; one that a single run
-    reads is generated by that run.  The candidate returned is the
-    caller's own.
+    A JL candidate that more than one run reads has its matrix generated
+    and its rows projected once, before the first run, and both held until
+    the selection ends; one that a single run reads is generated and
+    projected by that run.  The candidate returned is the caller's own.
+
+    Only a run on a non-JL candidate reads the training set's G
+    (`Dataset.gram`).  The runs up to the last such run go first; once their
+    models are scored, G is released, and only then do the later runs
+    start, so a pool never holds G while a JL run projects.
     """
     noise = score_noise(noise_std, len(runs), stream(seed, SCORE_NOISE))
     seeds = [child_seed(seed, CANDIDATE_SEED, i) for i in range(len(runs))]
-    held = _hold_reused(runs)
+    held = _hold_reused(runs, dataset)
+    cut = 1 + max((i for i, cand in enumerate(runs) if not isinstance(cand.phi, JlMatrix)),
+                  default=-1)
 
     def run(i):
         return base(held.get(id(runs[i]), runs[i]), base_mu, seeds[i])
 
     best = None
-    for i, model in enumerate(_run_indexed(run, len(runs), threads)):
-        noisy = score(model, dataset, spec) + noise[i]
-        if best is None or noisy < best[0]:
-            best = (noisy, model, runs[i])
+    for part in (range(cut), range(cut, len(runs))):
+        for i, model in enumerate(_run_indexed(run, part, threads), part.start):
+            noisy = score(model, dataset, spec) + noise[i]
+            if best is None or noisy < best[0]:
+                best = (noisy, model, runs[i])
+        dataset.release_gram()
     return best[1], best[2]
 
 
-def _hold_reused(runs: list[Candidate]) -> dict[int, Candidate]:
+def _hold_reused(runs: list[Candidate], dataset: Dataset) -> dict[int, Candidate]:
     """Each JL candidate that `runs` lists more than once, mapped from its id
-    to a copy whose matrix is held (`JlMatrix.hold`)."""
+    to a copy that holds its matrix (`JlMatrix.hold`) and the dataset's
+    projected rows (`rows`)."""
     uses = Counter(map(id, runs))
     distinct = {id(cand): cand for cand in runs}
-    return {key: Candidate(cand.gamma, cand.phi.hold())
-            for key, cand in distinct.items()
-            if uses[key] > 1 and isinstance(cand.phi, JlMatrix)}
+    held = {}
+    for key, cand in distinct.items():
+        if uses[key] > 1 and isinstance(cand.phi, JlMatrix):
+            phi = cand.phi.hold()
+            held[key] = Candidate(cand.gamma, phi, project_rows(phi, dataset))
+    return held
 
 
-def _run_indexed(fn, count: int, threads: int):
-    """Yield fn(0), ..., fn(count - 1) in index order.
+def _run_indexed(fn, indices: range, threads: int):
+    """Yield fn(i) for each i in `indices`, in order.
 
     With a pool, results are handed over as they are consumed.  Closing the
     generator early (the consumer raised) cancels the calls not yet started.
     """
-    if threads <= 1 or count <= 1:
-        yield from map(fn, range(count))
+    if threads <= 1 or len(indices) <= 1:
+        yield from map(fn, indices)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, range(count))
+        yield from pool.map(fn, indices)

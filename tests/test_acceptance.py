@@ -2,10 +2,13 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 as they complete.  The end-to-end criteria (4 and 5) share one module-scoped
-training sweep and together take ~15 minutes on two cores.
+training sweep of 40 runs, which takes about 6 minutes on two cores.  That
+sweep and criterion 6's trials run in two worker processes (`in_two_processes`).
 """
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -46,6 +49,18 @@ from conftest import random_unit_dataset
 def report(num: int, name: str, ok: bool):
     print(f"\nACCEPTANCE {num:2d} [{name}]: {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {num} ({name}) failed"
+
+
+def in_two_processes(fn, *iterables):
+    """list(map(fn, *iterables)), computed in two worker processes.
+
+    The work mapped here holds the GIL for most of its steps, so threads
+    would keep about one core busy, where two processes run two items at
+    once.  `fn` must be importable by name in a fresh interpreter.
+    """
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 # -------------------------------------------------------------- criterion 1
@@ -104,18 +119,22 @@ SEEDS_E2E = 20
 OUTLIERS_E2E = 40
 
 
+def end_to_end_risk(job):
+    """Training risk of the mechanism on one (outlier count, seed) dataset."""
+    n_out, seed = job
+    ds, _ = synth_margin_dataset(N_E2E, D_E2E, GAMMA_E2E, n_out, seed=1000 + seed)
+    cfg = MasterConfig(epsilon=EPS_E2E, delta=DELTA_E2E, seed=seed, threads=2)
+    result = dp_adaptive_margin(ds, cfg)
+    return training_risk(result.model, ds)
+
+
 @pytest.fixture(scope="module")
 def end_to_end_risks():
-    risks = {"clean": [], "outlier": []}
-    for variant, n_out in (("clean", 0), ("outlier", OUTLIERS_E2E)):
-        for seed in range(SEEDS_E2E):
-            ds, _ = synth_margin_dataset(N_E2E, D_E2E, GAMMA_E2E, n_out,
-                                         seed=1000 + seed)
-            cfg = MasterConfig(epsilon=EPS_E2E, delta=DELTA_E2E, seed=seed,
-                               threads=2)
-            result = dp_adaptive_margin(ds, cfg)
-            risks[variant].append(training_risk(result.model, ds))
-    return risks
+    variants = (("clean", 0), ("outlier", OUTLIERS_E2E))
+    jobs = [(n_out, seed) for _, n_out in variants for seed in range(SEEDS_E2E)]
+    flat = in_two_processes(end_to_end_risk, jobs)
+    return {variant: flat[i * SEEDS_E2E:(i + 1) * SEEDS_E2E]
+            for i, (variant, _) in enumerate(variants)}
 
 
 @pytest.mark.slow
@@ -145,10 +164,8 @@ def test_criterion_5_outlier_adaptivity(end_to_end_risks):
 
 def test_criterion_6_grid_competitiveness():
     rng = np.random.default_rng(606)
-    ratios = []
-    for trial in range(20):
-        ds = random_unit_dataset(rng, 10, 2)
-        ratios.append(grid_competitiveness_check(ds, epsilon=1.0))
+    datasets = [random_unit_dataset(rng, 10, 2) for _ in range(20)]
+    ratios = in_two_processes(grid_competitiveness_check, datasets, [1.0] * len(datasets))
     print(f"\n  competitiveness ratios: max={max(ratios):.3f}")
     report(6, "doubling grid within factor 4", max(ratios) <= 4.0)
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +398,70 @@ def test_train_eval_libsvm_round_trip(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "eval", "--model", str(model), "--dataset",
                        str(path), "--format", "libsvm")
     assert code == 0 and "zero-one risk" in out
+
+
+# ---------------------------------------------------------------- environment
+
+@pytest.mark.parametrize("name, value", [
+    ("SOURCE_DATE_EPOCH", "abc"), ("SOURCE_DATE_EPOCH", "-1"), ("SOURCE_DATE_EPOCH", "1.5"),
+    ("DPMARGIN_T_CAP", "abc"), ("DPMARGIN_T_CAP", "-5"), ("DPMARGIN_T_CAP", "0"),
+])
+def test_malformed_environment_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      name, value):
+    monkeypatch.setenv(name, value)
+    model = tmp_path / "m.json"
+    # the dataset does not exist, so reading it first would exit 1
+    code, stdout, err = run(capsys, "train", "--dataset", str(tmp_path / "nope.csv"),
+                            "--epsilon", "1", "--delta", "1e-5", "--seed", "1",
+                            "--out", str(model))
+    assert code == 2 and stdout == "" and not model.exists()
+    assert err == f"error: {name} must be an integer >= {int(name == 'DPMARGIN_T_CAP')}, " \
+                  f"got {value!r}\n"
+    out = tmp_path / "s.csv"
+    code, stdout, _ = run(capsys, "synth", "--n", "20", "--d", "3", "--gamma", "0.4",
+                          "--seed", "1", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+
+
+def test_environment_bounds_are_accepted(tmp_path, capsys, monkeypatch, small_dataset):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    monkeypatch.setenv("DPMARGIN_T_CAP", "1")
+    model = tmp_path / "m.json"
+    argv = ("train", "--dataset", str(small_dataset), "--epsilon", "1", "--delta", "1e-5",
+            "--seed", "1", "--out", str(model))
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "exceeds the iteration cap 1" in err  # the cap is read as 1
+    monkeypatch.delenv("DPMARGIN_T_CAP")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(model.read_text())["timestamps"] == {"created_unix": 0}
+
+
+_IMPORT_GUARD = """
+import json, sys
+import dpmargin, dpmargin.cli
+
+def heavy():
+    return [name for name in ("scipy.special", "numpy.f2py") if name in sys.modules]
+
+seen = {"import": heavy()}
+seen["train"] = dpmargin.cli.main(["train", "--dataset", sys.argv[1], "--epsilon", "2",
+                                   "--delta", "1e-6", "--seed", "3"]), heavy()
+seen["synth"] = dpmargin.cli.main(["synth", "--n", "20", "--d", "3", "--gamma", "0.4",
+                                   "--seed", "1", "--out", sys.argv[2]]), heavy()
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_special_is_loaded_only_by_synth(tmp_path, small_dataset):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("SOURCE_DATE_EPOCH", None)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(small_dataset),
+                           str(tmp_path / "s.csv")], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "train": [0, []],
+                    "synth": [0, ["scipy.special", "numpy.f2py"]]}

@@ -19,7 +19,7 @@ from dpmargin.master import (
     model_to_json,
     training_risk,
 )
-from dpmargin.projection import IdentityMap, JlMatrix
+from dpmargin.projection import BLOCK_ROWS, IdentityMap, JlMatrix
 
 from conftest import make_dataset, random_unit_dataset
 
@@ -202,6 +202,53 @@ def test_master_iterate_peak_holds_one_jl_matrix():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_master_iterate_peak_has_no_jl_matrix_term():
+    ds = synth_margin_dataset(200, 2000, 0.3, 2, seed=21)[0]
+    n, d = ds.n, ds.dim
+    k = max(c.phi.k for c in build_candidates(n, d, 1.0, 1.0 / n**2, 7)
+            if isinstance(c.phi, JlMatrix))
+    tracemalloc.start()
+    try:
+        result = dp_adaptive_margin(ds, MasterConfig(epsilon=1.0, delta=1e-5, seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    noise_rows = min(result.model.provenance.schedule.T, 512)  # every run has this T
+    # the largest run's n x k rows, their G and one noise block in float64, and
+    # one matrix block in float64 with the int8 signs it is drawn from
+    bound = 8 * (n * k + n * n + noise_rows * k) + 9 * BLOCK_ROWS * d
+    assert 8 * k * d > bound  # the whole largest matrix would not fit
+    assert peak < bound
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("tuner", ["iterate", "priv_tune"])
+def test_master_training_gram_lives_from_its_first_to_its_last_reader(
+        gram_calls, monkeypatch, tuner, threads):
+    import dpmargin.optimizer as optimizer
+
+    # iterate: 6 identity runs on the data, then 2 JL runs; priv-tune: 1220
+    # runs on 4 identity and 2 reused JL candidates.  Every run takes the Gram form.
+    ds, seed = ((small_synth(n=80, d=400, seed=6), 9) if tuner == "iterate"
+                else (small_synth(n=20, d=300, gamma=0.4, seed=3), 1))
+    gram_at_projection = []
+    original = optimizer.project_and_clip
+
+    def spy(phi, dataset, v):
+        gram_at_projection.append(ds._gram)
+        return original(phi, dataset, v)
+
+    monkeypatch.setattr(optimizer, "project_and_clip", spy)
+    dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, tuner=tuner, seed=seed,
+                                        threads=threads))
+    grams = [g for d, g in gram_calls if d is ds]
+    assert grams and all(g is grams[0] for g in grams)  # built once
+    assert ds._gram is None  # and released before the mechanism returns
+    assert gram_at_projection
+    if tuner == "iterate":
+        assert gram_at_projection == [None] * len(gram_at_projection)
 
 
 def test_master_ledger_composition_exact():

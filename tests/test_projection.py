@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dpmargin._seeding import JL_SIGNS, stream
 from dpmargin.data import geometric_margin_oracle, synth_margin_dataset
 from dpmargin.errors import DimensionError
 from dpmargin.projection import (
+    BLOCK_ROWS,
     IdentityMap,
     lift,
     project_and_clip,
@@ -70,13 +72,55 @@ def test_sample_jl_mean_within_three_sigma():
 
 
 def test_jl_matrix_held_entries_match_regenerated(jl_generations):
-    phi = sample_jl(6, 4, seed=3)
+    phi = sample_jl(300, 4, seed=3)  # two blocks
     assert jl_generations == []  # sampling fixes (k, d, seed) only
     held = phi.hold()
     assert held == phi and jl_generations == [phi]
-    assert held.entries is held.entries and phi.entries is not phi.entries
+    assert all(a is b for a, b in zip(held.blocks(), held.blocks()))
+    assert not any(a is b for a, b in zip(phi.blocks(), phi.blocks()))
     assert held.entries.tobytes() == phi.entries.tobytes()
     assert len(jl_generations) == 4  # hold once, then each of the 3 reads of phi
+
+
+@pytest.mark.parametrize("d", [599, 3000, 3001])
+def test_streamed_blocks_are_one_full_draw(d):
+    assert BLOCK_ROWS % 4 == 0  # four int8 draws share a 32-bit word
+    k = 2 * BLOCK_ROWS + 37
+    phi = sample_jl(k, d, seed=11)
+    signs = stream(11, JL_SIGNS).integers(0, 2, size=(k, d), dtype=np.int8)
+    full = (2.0 * signs - 1.0) / math.sqrt(k)
+    blocks = list(phi.blocks())
+    assert [len(block) for block in blocks] == [BLOCK_ROWS, BLOCK_ROWS, 37]
+    assert np.concatenate(blocks).tobytes() == full.tobytes()
+
+
+def test_block_projection_and_lift_match_the_whole_matrix(rng):
+    phi = sample_jl(BLOCK_ROWS + 60, 50, seed=4)
+    x = rng.standard_normal((30, 50))
+    w_k = rng.standard_normal(phi.k)
+    full = phi.entries
+    np.testing.assert_allclose(phi.project_points(x), x @ full.T, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(phi.lift_weights(w_k), full.T @ w_k, rtol=1e-12, atol=1e-14)
+    held = phi.hold()
+    assert held.project_points(x).tobytes() == phi.project_points(x).tobytes()
+    assert held.lift_weights(w_k).tobytes() == phi.lift_weights(w_k).tobytes()
+
+
+def test_project_and_lift_hold_one_block_of_the_matrix(rng):
+    n, k, d = 300, 4 * BLOCK_ROWS, 3000
+    phi = sample_jl(k, d, seed=6)
+    x = rng.standard_normal((n, d))
+    w_k = rng.standard_normal(k)
+    block = 9 * BLOCK_ROWS * d  # float64 entries and the int8 signs drawn for them
+    for read, out_bytes in ((lambda: phi.project_points(x), 8 * n * k),
+                            (lambda: phi.lift_weights(w_k), 8 * d)):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out_bytes + 8 * BLOCK_ROWS * d < peak < out_bytes + block + 65536
 
 
 def test_jl_matrix_above_cache_limit_is_not_held(monkeypatch, jl_generations):

@@ -18,7 +18,7 @@ from dpmargin.data import synth_margin_dataset
 from dpmargin.errors import MissingContextError, ResourceError
 from dpmargin.optimizer import LinearModel, Provenance, jlgd
 from dpmargin.privacy import per_candidate_budget
-from dpmargin.projection import IdentityMap, sample_jl
+from dpmargin.projection import IdentityMap, JlMatrix, sample_jl
 from dpmargin.tuning import (
     Candidate,
     ScoreSpec,
@@ -558,6 +558,47 @@ def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
     assert Counter(jl_generations) == {**{phi: 1 for phi in reused},
                                        **{phi: 2 for phi in single}}
     assert any(picked is c for c in cands)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_priv_tune_projects_each_reused_jl_candidate_once(threads, monkeypatch):
+    import dpmargin.optimizer as optimizer
+
+    ds = planted(n=40, d=30, seed=20)
+    cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
+             Candidate(0.8, sample_jl(6, 30, seed=2)),
+             Candidate(0.1, IdentityMap(30))]
+    dist = TnbDist(1, 0.2)
+    seed = 3  # both JL candidates run more than once
+    picks = stream(seed, CANDIDATE_PICK).integers(
+        0, len(cands), size=sample_tnb(dist, stream(seed, TNB_RUNS)))
+    assert min(np.bincount(picks, minlength=3)[:2]) > 1
+    projected, runs = [], []
+    lock = threading.Lock()
+    original = optimizer.project_and_clip
+
+    def spy(phi, dataset, v):
+        with lock:
+            projected.append(phi)
+        return original(phi, dataset, v)
+
+    def base(candidate, mu, s):
+        model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s, low=candidate.rows)
+        with lock:
+            runs.append((candidate, mu, s, model))
+        return model
+
+    monkeypatch.setattr(optimizer, "project_and_clip", spy)
+    priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed,
+              threads=threads)
+    assert Counter(projected) == {cands[0].phi: 1, cands[1].phi: 1}
+    held = [run for run in runs if isinstance(run[0].phi, JlMatrix)]
+    assert len(held) == len(picks) - np.count_nonzero(picks == 2)
+    for cand, mu, s, model in held:
+        assert cand.rows is not None
+        streamed = jlgd(JlMatrix(cand.phi.k, cand.phi.d, cand.phi.seed), cand.gamma / 3, ds,
+                        mu, seed=s)
+        assert model.weights.tobytes() == streamed.weights.tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
