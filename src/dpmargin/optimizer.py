@@ -1,8 +1,9 @@
 """Noisy full-batch subgradient descent and its projection-wrapped form.
 
 The iteration count, noise scale and step size follow fixed schedules derived
-from (n, budget, sensitivity); `NgdOverrides` exists for tests that need to
-pin T, sigma or eta explicitly.
+from (n, budget, sensitivity).  `NgdOverrides` pins T, sigma or eta
+explicitly: tests use it, and so does `cli`'s margin-curve command, which
+runs a long noiseless descent (T = 400, sigma = 0) for its soft direction.
 """
 
 from __future__ import annotations
@@ -10,10 +11,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
-from ._seeding import NGD_NOISE, stream
+from ._seeding import NGD_NOISE
+# ngd's noise generator: the calling thread's one, reset to what
+# `_seeding.stream` would start from.  It keeps the name `stream` because
+# perfbench's tracer times a run's seeding through `optimizer.stream`.
+from ._seeding import thread_stream as stream
 from .data import Dataset
 from .errors import DimensionError, ResourceError
 from .loss import hinge_sensitivity
@@ -85,7 +91,7 @@ class LinearModel:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.dim,):
             raise DimensionError(f"weights shape {w.shape} != ({self.dim},)")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValueError("model weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -151,7 +157,12 @@ def ngd(
     Gradient noise is drawn from the seed's stream in blocks of at most 512
     rows, none longer than the steps left, so a noisy run draws exactly
     T * k normals.  The stream fills arrays in order, so the noise does not
-    depend on the block sizes.
+    depend on the block sizes.  The draws come from the calling thread's
+    generator reset to the seed's key (`_seeding.thread_stream`), the same
+    numbers a fresh `_seeding.stream(seed, NGD_NOISE)` gives.  (T, sigma,
+    eta) and the form are resolved once for each distinct (n, k, b/c, mu,
+    mode, overrides), b the norm bound, and reused by every later run of
+    that shape.
 
     The same descent runs in one of two forms, picked from (n, k, T) alone.
     The feature-space form keeps w and costs two n x k matrix-vector
@@ -172,16 +183,25 @@ def ngd(
         raise ValueError("need n >= 2")
     if not mu > 0:
         raise ValueError("mu must be positive")
-    overrides = overrides or NgdOverrides()
     n, k = dataset.n, dataset.dim
     delta_sens = hinge_sensitivity(dataset.norm_bound, c)
-    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides)
-    schedule = NgdConfig(T=T, sigma=sigma, eta=eta)
-
-    descent = _gram_descent if _gram_pays(n, k, T) else _feature_descent
+    provenance, descent = _plan(n, k, delta_sens, mu, mode, overrides, iteration_cap())
+    sched = provenance.schedule
     rng = stream(seed, NGD_NOISE)
-    out = descent(dataset, c, T, sigma, eta, mode == "averaged", rng)
-    return LinearModel(out, k, Provenance(k=k, schedule=schedule))
+    out = descent(dataset, c, sched.T, sched.sigma, sched.eta, mode == "averaged", rng)
+    return LinearModel(out, k, provenance)
+
+
+@lru_cache(maxsize=256)
+def _plan(n, k, delta_sens, mu, mode, overrides, cap):
+    """The provenance (schedule) and descent form of an n x k run.
+
+    `cap` is the iteration cap read by the caller; it only keys the cache,
+    so a run after DPMARGIN_T_CAP changes is resolved afresh.
+    """
+    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or NgdOverrides())
+    descent = _gram_descent if _gram_pays(n, k, T) else _feature_descent
+    return Provenance(k=k, schedule=NgdConfig(T=T, sigma=sigma, eta=eta)), descent
 
 
 def _gram_pays(n: int, k: int, T: int) -> bool:
@@ -206,29 +226,29 @@ def _gram_pays(n: int, k: int, T: int) -> bool:
 def _feature_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
     """The descent on w: scores and gradient from S every step."""
     signed = dataset.signed_features()
-    k = signed.shape[1]
+    signed_t = signed.T
+    n, k = signed.shape
     w = np.zeros(k)
     averaged = np.zeros(k)
     grad = np.empty(k)
-    block = np.empty((0, k))
-    block_pos = 0
+    scores = np.empty(n)
     inv_c = -1.0 / c
-    for t in range(T):
-        scores = signed @ w
-        active = (scores < c).astype(np.float64)  # zero subgradient at the kink
-        np.dot(signed.T, active, out=grad)
-        grad *= inv_c
-        if averaging:
-            averaged += w
+    for start in range(0, T, _NOISE_BLOCK):
+        rows = min(_NOISE_BLOCK, T - start)
         if sigma > 0.0:
-            if block_pos == len(block):
-                block = rng.standard_normal((min(_NOISE_BLOCK, T - t), k))
-                block *= sigma
-                block_pos = 0
-            grad += block[block_pos]
-            block_pos += 1
-        grad *= eta
-        w -= grad
+            block = rng.standard_normal((rows, k))
+            block *= sigma
+        for t in range(rows):
+            np.dot(signed, w, out=scores)
+            active = (scores < c).astype(np.float64)  # zero subgradient at the kink
+            np.dot(signed_t, active, out=grad)
+            grad *= inv_c
+            if averaging:
+                averaged += w
+            if sigma > 0.0:
+                grad += block[t]
+            grad *= eta
+            w -= grad
     return averaged / T if averaging else w
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeding import CANDIDATE_PICK, CANDIDATE_SEED, SCORE_NOISE, TNB_RUNS, child_seed, stream
+from ._seeding import CANDIDATE_PICK, CANDIDATE_SEED, SCORE_NOISE, TNB_RUNS, child_seeds, stream
+from ._seeding import child_seed  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .data import Dataset
 from .errors import MissingContextError, ResourceError
 from .optimizer import LinearModel, project_rows
@@ -77,7 +78,7 @@ def score(model: LinearModel, dataset: Dataset, spec: ScoreSpec) -> float:
         raise MissingContextError(
             f"model dim {model.dim} does not match dataset dim {dataset.dim}"
         )
-    errs = float(np.sum(dataset.signed_features() @ model.weights < 0.0))
+    errs = float(np.count_nonzero(dataset.signed_features() @ model.weights < 0.0))
     if spec.kind == "empirical_zero_one":
         return errs
     k = model.provenance.k
@@ -199,9 +200,11 @@ def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: floa
     (model, candidate) pair with the least noisy score.
 
     The score noise is drawn up front, the same draws `noisy_argmin` makes,
-    and each model is scored as it arrives.  Only the running minimum is
-    kept, so a serial run holds one model at a time besides the best so far;
-    the strict `<` keeps the first index on ties, as `noisy_argmin` does.
+    and so are the run seeds, in one pass (`child_seeds`) that gives the
+    seeds `child_seed` gives.  Each model is scored as it arrives.  Only the
+    running minimum is kept, so a serial run holds one model at a time
+    besides the best so far; the strict `<` keeps the first index on ties,
+    as `noisy_argmin` does.
 
     A JL candidate that more than one run reads has its matrix generated
     and its rows projected once, before the first run, and both held until
@@ -214,13 +217,13 @@ def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: floa
     start, so a pool never holds G while a JL run projects.
     """
     noise = score_noise(noise_std, len(runs), stream(seed, SCORE_NOISE))
-    seeds = [child_seed(seed, CANDIDATE_SEED, i) for i in range(len(runs))]
+    seeds = child_seeds(seed, CANDIDATE_SEED, len(runs))
     held = _hold_reused(runs, dataset)
     cut = 1 + max((i for i, cand in enumerate(runs) if not isinstance(cand.phi, JlMatrix)),
                   default=-1)
 
     def run(i):
-        return base(held.get(id(runs[i]), runs[i]), base_mu, seeds[i])
+        return base(held.get(id(runs[i]), runs[i]), base_mu, int(seeds[i]))
 
     best = None
     for part in (range(cut), range(cut, len(runs))):
