@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .data import (
+    DEFAULT_TOL,
     Dataset,
     geometric_margin_oracle,
     hard_margin_direction,
@@ -157,6 +158,19 @@ def _soft_direction(dataset: Dataset, seed: int) -> np.ndarray:
     return model.weights
 
 
+def _most_binding(dataset: Dataset, scores: np.ndarray) -> int:
+    """Index of the lowest score.  The support points of a hard-margin
+    direction tie exactly, so among scores within DEFAULT_TOL of the lowest
+    it is the first whose removal leaves the largest margin (within
+    DEFAULT_TOL), and the solver's float noise does not pick it."""
+    tied = np.flatnonzero(scores <= scores.min() + DEFAULT_TOL)
+    if len(tied) == 1:
+        return int(tied[0])
+    rows = np.arange(dataset.n)
+    after = [geometric_margin_oracle(dataset.subset(np.delete(rows, i))) for i in tied]
+    return int(next(i for i, m in zip(tied, after) if m >= max(after) - DEFAULT_TOL))
+
+
 def cmd_margin_curve(args) -> int:
     dataset = load_dataset(args.dataset, args.format or "csv")
     if args.removals is not None and args.removals < 0:
@@ -174,9 +188,7 @@ def cmd_margin_curve(args) -> int:
             break
         if direction is None:  # not separable yet: rank by a soft separator
             direction = _soft_direction(normalized, seed)
-        scores = normalized.signed_features() @ direction
-        worst = int(np.argmin(scores))  # first index wins ties via argmin
-        keep.pop(worst)
+        keep.pop(_most_binding(normalized, normalized.signed_features() @ direction))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("removed_count,normalized_margin\n")
         for removed, margin in rows:

@@ -3,11 +3,13 @@
 The margin oracles here (`geometric_margin_oracle`, `hard_margin_direction`,
 `min_outliers_oracle`) serve `synth`, `margin-curve` and the small-instance
 competitiveness check; nothing on the private training path reads them.
+Each margin is one `scipy.optimize.nnls` solve for the point of the signed
+rows' convex hull nearest the origin, checked by a certificate that brackets
+the margin within `tol`; scipy.optimize is imported on the first oracle call.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -30,8 +32,6 @@ EXHAUSTIVE_CAP = 16
 
 #: Default additive tolerance for the margin oracle.
 DEFAULT_TOL = 1e-6
-
-_ORACLE_MAX_ITER = 200_000
 
 _GRAM_LOCK = threading.Lock()
 
@@ -375,65 +375,39 @@ def synth_margin_dataset(
     return Dataset(feats[perm], labels[perm], 1.0), w_star
 
 
-def _min_norm_point(signed: np.ndarray, tol: float, max_iter: int = _ORACLE_MAX_ITER):
-    """Distance from the origin to conv{y_i x_i} with a witness direction.
+def _min_norm_point(signed: np.ndarray, tol: float):
+    """Distance from the origin to conv{z_i}, z_i = y_i x_i, with a witness direction.
 
-    Frank-Wolfe with away steps and exact line search on f(p) = p'Gp over the
-    simplex.  sqrt(f) upper-bounds the margin; min_i <z_i, Z'p>/||Z'p||
-    lower-bounds it, so |upper - lower| <= tol is a certificate.
-    Returns (margin, witness_direction or None).
+    One nonnegative least-squares solve (Lawson & Hanson 1974) finds the
+    hull's nearest point S'p*: x* = argmin_{x >= 0} ||S'x||^2 + (1'x - 1)^2
+    equals p*/(1 + ||S'p*||^2), never 0, so p* = x*/1'x*.  ||w|| for
+    w = S'p* upper-bounds the margin and min_i <z_i, w>/||w|| lower-bounds
+    it, so upper - lower <= tol is a certificate; a solve that misses it
+    raises OracleError.  Returns (margin, unit witness direction or None).
     """
-    n = signed.shape[0]
-    gram = signed @ signed.T
-    diag = np.diag(gram)
-    i0 = int(np.argmin(diag))
-    p = np.zeros(n)
-    p[i0] = 1.0
-    gp = gram[:, i0].copy()  # gp = G p
-    lower = 0.0
-    upper = math.sqrt(max(float(diag[i0]), 0.0))
-    for _ in range(max_iter):
-        f = float(p @ gp)
-        upper = math.sqrt(max(f, 0.0))
-        if upper <= tol:
-            return 0.0, None
-        lower = float(np.min(gp)) / upper
-        if upper - lower <= tol:
-            w = signed.T @ p
-            return max(lower, 0.0), w / np.linalg.norm(w)
-        s = int(np.argmin(gp))
-        support = np.nonzero(p > 0)[0]
-        a = support[int(np.argmax(gp[support]))]
-        if f - gp[s] >= gp[a] - f:  # toward step
-            direction = -p
-            direction[s] += 1.0
-            step_max = 1.0
-            g_dir = gram[:, s] - gp
-        else:  # away step
-            direction = p.copy()
-            direction[a] -= 1.0
-            step_max = p[a] / (1.0 - p[a]) if p[a] < 1.0 else 0.0
-            g_dir = gp - gram[:, a]
-        curv = float(direction @ g_dir)
-        if curv <= 0.0:
-            step = step_max
-        else:
-            step = min(step_max, max(0.0, -float(p @ g_dir) / curv))
-        if step <= 0.0:
-            w = signed.T @ p
-            norm = np.linalg.norm(w)
-            if norm <= tol:
-                return 0.0, None
-            return max(lower, 0.0), w / norm
-        p = np.maximum(p + step * direction, 0.0)
-        p /= p.sum()
-        gp = gram @ p
-    raise OracleError(
-        f"margin oracle did not certify tol={tol} in {max_iter} iterations; "
-        f"bracket [{lower:.9g}, {upper:.9g}]",
-        lower=lower,
-        upper=upper,
-    )
+    # imported here, not at module level: scipy.optimize would add about
+    # 45 MB and 0.6 s to every process, and only the oracles read it
+    import scipy.optimize
+
+    system = np.vstack([signed.T, np.ones(signed.shape[0])])  # [S'; 1']
+    rhs = np.zeros(system.shape[0])
+    rhs[-1] = 1.0
+    try:
+        x, _ = scipy.optimize.nnls(system, rhs)
+    except RuntimeError as exc:
+        raise OracleError(f"margin oracle: nnls failed: {exc}") from exc
+    w = signed.T @ (x / x.sum())
+    upper = float(np.linalg.norm(w))
+    if upper <= tol:
+        return 0.0, None
+    lower = float(np.min(signed @ w)) / upper
+    if not upper - lower <= tol:  # also refuses NaN weights
+        raise OracleError(
+            f"margin oracle did not certify tol={tol}; bracket [{lower:.9g}, {upper:.9g}]",
+            lower=lower,
+            upper=upper,
+        )
+    return lower, w / upper
 
 
 def geometric_margin_oracle(dataset: Dataset, tol: float = DEFAULT_TOL) -> float:
@@ -455,7 +429,9 @@ def min_outliers_oracle(
     """Smallest removal set whose complement is gamma-separable (exhaustive).
 
     Enumerates removal sets in increasing size and lexicographic index order,
-    so the witness is deterministic.  Guarded at n <= 16.
+    so the witness is deterministic; when no single point reaches gamma - tol,
+    only removing all n does, and (n, (0, ..., n-1)) is returned.  Guarded at
+    n <= 16.
     """
     n = dataset.n
     if n > EXHAUSTIVE_CAP:
@@ -468,7 +444,7 @@ def min_outliers_oracle(
             margin, _ = _min_norm_point(signed[keep], tol)
             if margin >= gamma - tol:
                 return size, removed
-    return n - 1, tuple(range(n - 1))  # single point always separable at ||x||
+    return n, tuple(range(n))  # no single point reaches gamma - tol
 
 
 def normalize_points(dataset: Dataset) -> Dataset:

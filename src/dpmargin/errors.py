@@ -32,7 +32,7 @@ class GenerationError(DpMarginError):
 
 
 class OracleError(DpMarginError):
-    """Margin oracle failed to certify its tolerance within the iteration cap."""
+    """Margin oracle's solve failed, or its answer missed the certified tolerance."""
 
     def __init__(self, message, lower=None, upper=None):
         super().__init__(message)

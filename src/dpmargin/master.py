@@ -154,7 +154,8 @@ def grid_competitiveness_check(dataset: Dataset, epsilon: float, tol: float = 1e
     grid_min = math.inf
     for gamma in margin_grid(n, dataset.norm_bound):
         count, _ = min_outliers_oracle(dataset, gamma, tol)
-        grid_min = min(grid_min, objective(count, gamma))
+        if count < n:  # the continuous side keeps at least one point too
+            grid_min = min(grid_min, objective(count, gamma))
 
     continuous_min = math.inf
     for mask in range(2**n - 1):  # mask encodes the removed set; keep >= 1 point

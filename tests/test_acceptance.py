@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 as they complete.  The end-to-end criteria (4 and 5) share one module-scoped
 training sweep of 40 runs, which takes about 6 minutes on two cores.  That
-sweep and criterion 6's trials run in two worker processes (`in_two_processes`).
+sweep and criterion 6's trials run in two worker processes (`in_two_processes`);
+criterion 6's 20 exhaustive trials (one NNLS margin solve per removal subset)
+take a few seconds.
 """
 
 import math

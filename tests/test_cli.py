@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -297,6 +298,21 @@ def test_margin_curve_separable_first_value_positive(tmp_path, capsys):
     assert first >= 0.4 - 1e-4
 
 
+def test_margin_curve_breaks_support_ties_by_the_margin_left(tmp_path, capsys):
+    # unit points at -80, 80, -30 and 20 degrees: the two at +-80 tie as support
+    # points; removing -80 (listed first) leaves margin cos 55, removing 80 cos 50
+    data = tmp_path / "tied.csv"
+    angles = [math.radians(a) for a in (-80.0, 80.0, -30.0, 20.0)]
+    data.write_text("".join(f"{math.cos(a)!r},{math.sin(a)!r},+1\n" for a in angles))
+    out = tmp_path / "tied_curve.csv"
+    code, _, _ = run(capsys, "margin-curve", "--dataset", str(data),
+                     "--removals", "1", "--seed", "1", "--out", str(out))
+    assert code == 0
+    values = [float(r.split(",")[1]) for r in out.read_text().strip().splitlines()[1:]]
+    assert values == pytest.approx([math.cos(math.radians(80.0)),
+                                    math.cos(math.radians(50.0))], abs=1e-6)
+
+
 def test_margin_curve_negative_removals_exit_2(tmp_path, capsys):
     data = tmp_path / "sep.csv"
     run(capsys, "synth", "--n", "40", "--d", "4", "--gamma", "0.4", "--seed", "19",
@@ -442,7 +458,8 @@ import json, sys
 import dpmargin, dpmargin.cli
 
 def heavy():
-    return [name for name in ("scipy.special", "numpy.f2py") if name in sys.modules]
+    return [name for name in ("scipy.special", "scipy.optimize", "numpy.f2py")
+            if name in sys.modules]
 
 seen = {"import": heavy()}
 seen["train"] = dpmargin.cli.main(["train", "--dataset", sys.argv[1], "--epsilon", "2",
@@ -464,4 +481,4 @@ def test_scipy_special_is_loaded_only_by_synth(tmp_path, small_dataset):
     assert proc.returncode == 0, proc.stderr[-4000:]
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"import": [], "train": [0, []],
-                    "synth": [0, ["scipy.special", "numpy.f2py"]]}
+                    "synth": [0, ["scipy.special", "scipy.optimize", "numpy.f2py"]]}

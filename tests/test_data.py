@@ -21,6 +21,7 @@ from dpmargin.errors import (
     DimensionError,
     GenerationError,
     LabelError,
+    OracleError,
     SizeError,
 )
 
@@ -206,6 +207,64 @@ def test_margin_witness_direction_achieves_margin():
     assert achieved >= margin - 1e-5
 
 
+def slsqp_margin(signed):
+    """Independent margin: 0 when linprog finds no v with Sv >= 1, else the
+    hard-margin SVM min ||v||^2 s.t. Sv >= 1 by SLSQP, read as min_i <z_i, v>/||v||
+    (a lower bound at any v, so a solve stopped short reads low, never high)."""
+    from scipy.optimize import linprog, minimize
+
+    n, d = signed.shape
+    feasible = linprog(np.zeros(d), A_ub=-signed, b_ub=-np.ones(n), bounds=[(None, None)] * d)
+    if feasible.status == 2:
+        return 0.0
+    assert feasible.status == 0
+    svm = minimize(lambda v: v @ v, feasible.x, jac=lambda v: 2.0 * v, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda v: signed @ v - 1.0,
+                                 "jac": lambda v: signed}],
+                   options={"ftol": 1e-12, "maxiter": 1000})
+    return float((signed @ svm.x).min() / np.linalg.norm(svm.x))
+
+
+def test_margin_matches_independent_solver_beyond_2d(rng):
+    separable = 0
+    for trial in range(40):
+        d = int(rng.integers(3, 11))
+        if trial % 2:
+            ds, _ = synth_margin_dataset(int(rng.integers(d, 4 * d)), d,
+                                         float(rng.uniform(0.05, 0.5)), 0, seed=trial)
+        else:
+            ds = random_unit_dataset(rng, int(rng.integers(2 * d, 5 * d)), d)
+        margin, direction = hard_margin_direction(ds)
+        expected = slsqp_margin(ds.signed_features())
+        assert margin == pytest.approx(expected, abs=1e-6)
+        if direction is not None:
+            assert (ds.signed_features() @ direction).min() >= margin - 1e-9
+        separable += expected > 0.0
+    assert 20 <= separable < 40  # both kinds of instance were checked
+
+
+def test_margin_uncertified_solve_raises(monkeypatch):
+    import scipy.optimize
+
+    # uniform weights on this set give w = (2/3, 2/3), not the nearest point (1/2, 1/2)
+    ds = make_dataset([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1, 1, 1])
+    monkeypatch.setattr(scipy.optimize, "nnls", lambda a, b: (np.full(a.shape[1], 1.0), 0.0))
+    with pytest.raises(OracleError) as info:
+        geometric_margin_oracle(ds)
+    assert info.value.lower < info.value.upper
+
+
+def test_margin_failed_solve_raises(monkeypatch):
+    import scipy.optimize
+
+    def failing(a, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", failing)
+    with pytest.raises(OracleError):
+        hard_margin_direction(make_dataset([[1.0, 0.0], [0.0, 1.0]], [1, 1]))
+
+
 def test_normalized_margin_equals_geometric_on_unit_sphere():
     ds, _ = synth_margin_dataset(40, 4, 0.3, 0, seed=2)
     geo = geometric_margin_oracle(ds)
@@ -232,6 +291,11 @@ def test_min_outliers_single_contradiction():
     ds = make_dataset([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]], [1, -1, -1])
     count, witness = min_outliers_oracle(ds, 0.9)
     assert count == 1 and witness == (2,)
+
+
+def test_min_outliers_removes_all_when_no_point_reaches_gamma():
+    ds = Dataset([[0.5, 0.0], [0.0, 0.5]], [1, -1], 1.0)
+    assert min_outliers_oracle(ds, 0.9) == (2, (0, 1))
 
 
 def reference_min_outliers(dataset, gamma, tol=1e-6):

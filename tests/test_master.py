@@ -341,6 +341,12 @@ def test_grid_competitiveness_random_instances(rng):
         assert 0 < ratio <= 4.0
 
 
+def test_grid_competitiveness_skips_margins_no_point_reaches():
+    # at gamma = 1 only removing both points works; the continuous side keeps one
+    ds = make_dataset([[0.5, 0.0], [0.0, 0.5]], [1, -1], bound=1.0)
+    assert grid_competitiveness_check(ds, epsilon=1.0) == pytest.approx(1.0)
+
+
 def test_grid_competitiveness_size_guard(rng):
     ds = random_unit_dataset(rng, 13, 2)
     with pytest.raises(SizeError):
