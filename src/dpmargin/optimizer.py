@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -151,18 +150,17 @@ def ngd(
     """Noisy subgradient descent on the summed hinge loss at `c` from w0 = 0.
 
     Returns the averaged iterate (1/T) sum_{t<T} w_t or the last iterate w_T
-    depending on `mode`.  Deterministic given `seed`.  The resolved schedule
-    (T, sigma, eta) is recorded in the model's `provenance.schedule`.
+    depending on `mode`.  Deterministic given `seed`.  Each run resolves its
+    schedule (T, sigma, eta) with `resolve_schedule` and its form with
+    `_gram_pays`, about 2 us, less than a cache lookup of them cost, and
+    records the schedule in the model's `provenance.schedule`.
 
     Gradient noise is drawn from the seed's stream in blocks of at most 512
     rows, none longer than the steps left, so a noisy run draws exactly
     T * k normals.  The stream fills arrays in order, so the noise does not
     depend on the block sizes.  The draws come from the calling thread's
     generator reset to the seed's key (`_seeding.thread_stream`), the same
-    numbers a fresh `_seeding.stream(seed, NGD_NOISE)` gives.  (T, sigma,
-    eta) and the form are resolved once for each distinct (n, k, b/c, mu,
-    mode, overrides), b the norm bound, and reused by every later run of
-    that shape.
+    numbers a fresh `_seeding.stream(seed, NGD_NOISE)` gives.
 
     The same descent runs in one of two forms, picked from (n, k, T) alone.
     The feature-space form keeps w and costs two n x k matrix-vector
@@ -185,23 +183,11 @@ def ngd(
         raise ValueError("mu must be positive")
     n, k = dataset.n, dataset.dim
     delta_sens = hinge_sensitivity(dataset.norm_bound, c)
-    provenance, descent = _plan(n, k, delta_sens, mu, mode, overrides, iteration_cap())
-    sched = provenance.schedule
-    rng = stream(seed, NGD_NOISE)
-    out = descent(dataset, c, sched.T, sched.sigma, sched.eta, mode == "averaged", rng)
-    return LinearModel(out, k, provenance)
-
-
-@lru_cache(maxsize=256)
-def _plan(n, k, delta_sens, mu, mode, overrides, cap):
-    """The provenance (schedule) and descent form of an n x k run.
-
-    `cap` is the iteration cap read by the caller; it only keys the cache,
-    so a run after DPMARGIN_T_CAP changes is resolved afresh.
-    """
     T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or NgdOverrides())
     descent = _gram_descent if _gram_pays(n, k, T) else _feature_descent
-    return Provenance(k=k, schedule=NgdConfig(T=T, sigma=sigma, eta=eta)), descent
+    rng = stream(seed, NGD_NOISE)
+    out = descent(dataset, c, T, sigma, eta, mode == "averaged", rng)
+    return LinearModel(out, k, Provenance(k=k, schedule=NgdConfig(T=T, sigma=sigma, eta=eta)))
 
 
 def _gram_pays(n: int, k: int, T: int) -> bool:

@@ -10,7 +10,6 @@ than empirical risk.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -112,6 +111,7 @@ def iter_tune(
 ) -> tuple[LinearModel, Candidate]:
     """Run `base(candidate, budget, seed)` once per candidate at an even
     budget split and return the noisy-score argmin.  Total GDP cost is mu.
+    The run list is `np.arange(len(candidates))`: run i reads candidate i.
 
     Candidate runs use independent derived seeds, so evaluating them on any
     number of worker threads yields identical output.
@@ -119,8 +119,8 @@ def iter_tune(
     if not candidates:
         raise ValueError("need at least one candidate")
     base_mu, noise_std = per_candidate_budget(mu, len(candidates))
-    return _private_select(base, candidates, dataset, base_mu, noise_std, spec, seed,
-                           threads)
+    return _private_select(base, candidates, np.arange(len(candidates)), dataset, base_mu,
+                           noise_std, spec, seed, threads)
 
 
 def sample_tnb(dist: TnbDist, seed, size: int | None = None):
@@ -176,6 +176,9 @@ def priv_tune(
 ) -> tuple[LinearModel, Candidate]:
     """Advanced selector: K ~ dist runs on uniformly drawn candidates.
 
+    The run list is the K drawn candidate indices, one integer array; a
+    candidate no draw picks is never projected or run.
+
     Each run and its Gaussian score release share mu as in a one-candidate
     `per_candidate_budget` split; the end-to-end privacy is reported through
     `privacy.tnb_tune_privacy(mu, dist.r, delta)`.
@@ -190,14 +193,16 @@ def priv_tune(
         )
     picks = stream(seed, CANDIDATE_PICK).integers(0, len(candidates), size=k_runs)
     base_mu, noise_std = per_candidate_budget(mu, 1)
-    runs = [candidates[int(i)] for i in picks]
-    return _private_select(base, runs, dataset, base_mu, noise_std, spec, seed, threads)
+    return _private_select(base, candidates, picks, dataset, base_mu, noise_std, spec, seed,
+                           threads)
 
 
-def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: float,
-                    noise_std: float, spec: ScoreSpec, seed: int, threads: int):
-    """Run `base` once per entry of `runs` at budget base_mu and return the
-    (model, candidate) pair with the least noisy score.
+def _private_select(base, candidates: list[Candidate], picks: np.ndarray, dataset: Dataset,
+                    base_mu: float, noise_std: float, spec: ScoreSpec, seed: int,
+                    threads: int):
+    """Run `base` once per entry of `picks`, run i on `candidates[picks[i]]`
+    at budget base_mu, and return the (model, candidate) pair with the least
+    noisy score.
 
     The score noise is drawn up front, the same draws `noisy_argmin` makes,
     and so are the run seeds, in one pass (`child_seeds`) that gives the
@@ -206,47 +211,39 @@ def _private_select(base, runs: list[Candidate], dataset: Dataset, base_mu: floa
     besides the best so far; the strict `<` keeps the first index on ties,
     as `noisy_argmin` does.
 
-    A JL candidate that more than one run reads has its matrix generated
-    and its rows projected once, before the first run, and both held until
-    the selection ends; one that a single run reads is generated and
-    projected by that run.  The candidate returned is the caller's own.
+    Everything else is read from `picks`.  A JL candidate picked more than
+    once has its matrix generated and its rows projected once, before the
+    first run, and both held (`JlMatrix.hold`, `Candidate.rows`) until the
+    selection ends; one picked once is generated and projected by its run,
+    and one never picked not at all.  The candidate returned is the
+    caller's own.
 
     Only a run on a non-JL candidate reads the training set's G
-    (`Dataset.gram`).  The runs up to the last such run go first; once their
-    models are scored, G is released, and only then do the later runs
+    (`Dataset.gram`).  The runs up to the last such pick go first; once
+    their models are scored, G is released, and only then do the later runs
     start, so a pool never holds G while a JL run projects.
     """
-    noise = score_noise(noise_std, len(runs), stream(seed, SCORE_NOISE))
-    seeds = child_seeds(seed, CANDIDATE_SEED, len(runs))
-    held = _hold_reused(runs, dataset)
-    cut = 1 + max((i for i, cand in enumerate(runs) if not isinstance(cand.phi, JlMatrix)),
-                  default=-1)
+    noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
+    seeds = child_seeds(seed, CANDIDATE_SEED, len(picks))
+    jl = np.array([isinstance(cand.phi, JlMatrix) for cand in candidates])
+    held = list(candidates)
+    for j in np.flatnonzero(jl & (np.bincount(picks, minlength=len(candidates)) > 1)):
+        phi = held[j].phi.hold()
+        held[j] = Candidate(held[j].gamma, phi, project_rows(phi, dataset))
+    gram_runs = np.flatnonzero(~jl[picks])
+    cut = int(gram_runs[-1]) + 1 if gram_runs.size else 0
 
     def run(i):
-        return base(held.get(id(runs[i]), runs[i]), base_mu, int(seeds[i]))
+        return base(held[picks[i]], base_mu, int(seeds[i]))
 
     best = None
-    for part in (range(cut), range(cut, len(runs))):
+    for part in (range(cut), range(cut, len(picks))):
         for i, model in enumerate(_run_indexed(run, part, threads), part.start):
             noisy = score(model, dataset, spec) + noise[i]
             if best is None or noisy < best[0]:
-                best = (noisy, model, runs[i])
+                best = (noisy, model, i)
         dataset.release_gram()
-    return best[1], best[2]
-
-
-def _hold_reused(runs: list[Candidate], dataset: Dataset) -> dict[int, Candidate]:
-    """Each JL candidate that `runs` lists more than once, mapped from its id
-    to a copy that holds its matrix (`JlMatrix.hold`) and the dataset's
-    projected rows (`rows`)."""
-    uses = Counter(map(id, runs))
-    distinct = {id(cand): cand for cand in runs}
-    held = {}
-    for key, cand in distinct.items():
-        if uses[key] > 1 and isinstance(cand.phi, JlMatrix):
-            phi = cand.phi.hold()
-            held[key] = Candidate(cand.gamma, phi, project_rows(phi, dataset))
-    return held
+    return best[1], candidates[picks[best[2]]]
 
 
 def _run_indexed(fn, indices: range, threads: int):

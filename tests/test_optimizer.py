@@ -111,7 +111,6 @@ def test_noise_scale_derived_from_privacy_module(monkeypatch):
         return out
 
     monkeypatch.setattr(opt, "gaussian_noise_std", spy)
-    opt._plan.cache_clear()  # an earlier run of this shape would skip the resolution
     ds = planted(n=60)
     model = ngd(0.2, ds, mu=0.05, seed=0)
     assert model.provenance.schedule.sigma in calls

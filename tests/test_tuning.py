@@ -527,37 +527,54 @@ def test_streamed_selection_matches_noisy_argmin(threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
-        threads, jl_generations):
+        threads, jl_generations, monkeypatch):
+    import dpmargin.optimizer as optimizer
+
     ds = planted(n=40, d=30, seed=20)
     cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
              Candidate(0.8, sample_jl(6, 30, seed=2)),
              Candidate(0.1, IdentityMap(30))]
     dist = TnbDist(1, 0.2)
+    projected = []
+    original = optimizer.project_and_clip
+
+    def spy(phi, dataset, v):
+        projected.append(phi)
+        return original(phi, dataset, v)
+
+    monkeypatch.setattr(optimizer, "project_and_clip", spy)
 
     def uses(seed):
         k_runs = sample_tnb(dist, stream(seed, TNB_RUNS))
         picks = stream(seed, CANDIDATE_PICK).integers(0, len(cands), size=k_runs)
         return np.bincount(picks, minlength=len(cands))[:2]  # the JL candidates
 
-    # one JL candidate runs more than once, the other exactly once
-    seed = next(s for s in range(200) if sorted(uses(s))[0] == 1 and max(uses(s)) > 1)
-    reused = [c.phi for c, m in zip(cands, uses(seed)) if m > 1]
-    single = [c.phi for c, m in zip(cands, uses(seed)) if m == 1]
-    at_first_run = []
-    lock = threading.Lock()
+    # one JL candidate runs more than once, the other exactly once, then never
+    for other in (1, 0):
+        seed = next(s for s in range(200)
+                    if sorted(uses(s))[0] == other and max(uses(s)) > 1)
+        reused = [c.phi for c, m in zip(cands, uses(seed)) if m > 1]
+        single = [c.phi for c, m in zip(cands, uses(seed)) if m == 1]
+        unpicked = [c.phi for c, m in zip(cands, uses(seed)) if m == 0]
+        assert len(single + unpicked) == 1
+        jl_generations.clear()
+        projected.clear()
+        at_first_run = []
+        lock = threading.Lock()
 
-    def base(candidate, mu, s):
-        with lock:
-            if not at_first_run:
-                at_first_run.append(list(jl_generations))
-        return jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+        def base(candidate, mu, s):
+            with lock:
+                if not at_first_run:
+                    at_first_run.append(list(jl_generations))
+            return jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
 
-    _, picked = priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"),
-                          seed=seed, threads=threads)
-    assert at_first_run == [reused]
-    assert Counter(jl_generations) == {**{phi: 1 for phi in reused},
-                                       **{phi: 2 for phi in single}}
-    assert any(picked is c for c in cands)
+        _, picked = priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"),
+                              seed=seed, threads=threads)
+        assert at_first_run == [reused]
+        assert Counter(jl_generations) == {**{phi: 1 for phi in reused},
+                                           **{phi: 2 for phi in single}}
+        assert not any(phi in unpicked for phi in projected)
+        assert any(picked is c for c in cands)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -612,7 +629,7 @@ def test_streamed_selection_first_index_wins_ties(threads):
     def base(candidate, mu, s):
         return LinearModel(w, ds.dim, Provenance(k=ds.dim))
 
-    _, picked = tun._private_select(base, cands, ds, 0.5, 0.0,
+    _, picked = tun._private_select(base, cands, np.arange(len(cands)), ds, 0.5, 0.0,
                                     ScoreSpec("empirical_zero_one"), 0, threads)
     assert picked is cands[0]
 
