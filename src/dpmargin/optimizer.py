@@ -64,6 +64,9 @@ class NgdOverrides:
     eta: float | None = None
 
 
+_NO_OVERRIDES = NgdOverrides()
+
+
 @dataclass(frozen=True)
 class NgdConfig:
     """Resolved schedule actually used by a run."""
@@ -106,27 +109,29 @@ def resolve_schedule(
 ) -> tuple[int, float, float]:
     """Return (T, sigma, eta) for a run.
 
-    Defaults: T = ceil(n^2 mu^2), sigma = n * delta_sens (the per-iteration
-    budget mu/sqrt(T) Gaussian calibration), and eta balancing the gradient
-    and noise second moments for a reference point of norm 1.  Overriding T
-    recalibrates sigma to delta_sens * sqrt(T) / mu so the composed budget
-    stays mu.
+    Defaults: T = ceil(n^2 mu^2), sigma = delta_sens * sqrt(T) / mu (each
+    step mu/sqrt(T)-GDP, so T noisy steps compose to mu), and eta balancing
+    the gradient and noise second moments for a reference point of norm 1.
+    An overriding T gets the same sigma.  Either output reads at most T
+    noisy steps, so it costs at most mu; at a fractional n^2 mu^2 the
+    ceiling costs a little accuracy, not privacy.
     """
     if overrides.T is not None:
         T = int(overrides.T)
         if T < 1:
             raise ValueError("T override must be >= 1")
-        default_sigma = gaussian_noise_std(delta_sens, mu / math.sqrt(T))
     else:
         T = max(1, math.ceil((n * mu) ** 2))
-        default_sigma = gaussian_noise_std(delta_sens, 1.0 / n)  # = n * delta_sens
     cap = iteration_cap()
     if T > cap:
         raise ResourceError(
             f"T = {T} exceeds the iteration cap {cap}; raise DPMARGIN_T_CAP "
             f"or pass an explicit T override"
         )
-    sigma = default_sigma if overrides.sigma is None else float(overrides.sigma)
+    if overrides.sigma is None:
+        sigma = gaussian_noise_std(delta_sens, mu / math.sqrt(T))
+    else:
+        sigma = float(overrides.sigma)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if overrides.eta is not None:
@@ -151,9 +156,8 @@ def ngd(
 
     Returns the averaged iterate (1/T) sum_{t<T} w_t or the last iterate w_T
     depending on `mode`.  Deterministic given `seed`.  Each run resolves its
-    schedule (T, sigma, eta) with `resolve_schedule` and its form with
-    `_gram_pays`, about 2 us, less than a cache lookup of them cost, and
-    records the schedule in the model's `provenance.schedule`.
+    own schedule (T, sigma, eta) and form, and records the schedule in the
+    model's `provenance.schedule`.
 
     Gradient noise is drawn from the seed's stream in blocks of at most 512
     rows, none longer than the steps left, so a noisy run draws exactly
@@ -183,7 +187,7 @@ def ngd(
         raise ValueError("mu must be positive")
     n, k = dataset.n, dataset.dim
     delta_sens = hinge_sensitivity(dataset.norm_bound, c)
-    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or NgdOverrides())
+    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or _NO_OVERRIDES)
     descent = _gram_descent if _gram_pays(n, k, T) else _feature_descent
     rng = stream(seed, NGD_NOISE)
     out = descent(dataset, c, T, sigma, eta, mode == "averaged", rng)

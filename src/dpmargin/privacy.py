@@ -15,6 +15,10 @@ from .errors import PrivacyBudgetError
 
 _REL_SLACK = 1e-9  # float tolerance at closed-form precondition boundaries
 
+#: The neighbouring relation every ledger's guarantee is stated for.
+NEIGHBOURS = ("add or remove one point; Delta = b/c; n is public, as the grid, T and k "
+              "are computed from it; replace-one neighbours would need 2b/c")
+
 
 def gaussian_noise_std(sensitivity: float, mu: float) -> float:
     """Noise std making a sensitivity-`sensitivity` Gaussian mechanism mu-GDP."""
@@ -130,7 +134,8 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
     `mu` (and for "priv_tune" the geometric rate `tnb_r`) drive the tuner;
     the per-run budget and score-noise std are the ones it injects.  The
     guarantee is (epsilon, delta)-DP for "iterate" and
-    (epsilon + delta, delta)-DP for "priv_tune", which also needs n.
+    (epsilon + delta, delta)-DP for "priv_tune", which also needs n, both
+    under the add/remove-one relation in `neighbours`.
     """
     if tuner == "iterate":
         mu = master_iter_budget(epsilon, delta)
@@ -148,6 +153,7 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
             "epsilon": epsilon,
             "delta": delta,
             "guarantee": f"({epsilon:g}, {delta:g})-DP",
+            "neighbours": NEIGHBOURS,
         }
     if tuner != "priv_tune":
         raise ValueError(f"unknown tuner {tuner!r}")
@@ -167,6 +173,7 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
         "delta": delta,
         "guarantee": f"({eps_total:g}, {delta:g})-DP"
                      f" (= (epsilon + delta, delta) at epsilon = {epsilon:g})",
+        "neighbours": NEIGHBOURS,
     }
 
 

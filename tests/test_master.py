@@ -19,6 +19,7 @@ from dpmargin.master import (
     model_to_json,
     training_risk,
 )
+from dpmargin.privacy import budget_ledger
 from dpmargin.projection import BLOCK_ROWS, IdentityMap, JlMatrix
 
 from conftest import make_dataset, random_unit_dataset
@@ -270,6 +271,63 @@ def test_master_priv_tune_ledger_and_risk():
     assert result.ledger["epsilon"] == pytest.approx(1.0 + 1e-5, abs=1e-12)
     assert "epsilon + delta" in result.ledger["guarantee"]
     assert training_risk(result.model, ds) <= 0.34
+
+
+def replay_epsilon(x, n, delta, tuner):
+    """An epsilon at which a base run's x = (n mu_run)^2 is `x`: near it for a
+    fractional x, exactly in floats for an integer one."""
+    grid = len(margin_grid(n))
+    key = "per_candidate_mu" if tuner == "iterate" else "per_run_mu"
+
+    def x_at(eps):
+        return (n * budget_ledger(eps, delta, tuner, grid, n)[key]) ** 2
+
+    eps = math.sqrt(x / x_at(1.0))
+    if x != int(x):
+        return eps
+    for step in range(200):  # the nearest epsilons, one ulp at a time
+        for cand in (eps + step * math.ulp(eps), eps - step * math.ulp(eps)):
+            if x_at(cand) == x:
+                return cand
+    raise AssertionError(f"no epsilon gives x = {x} exactly")
+
+
+@pytest.mark.parametrize("tuner", ["iterate", "priv_tune"])
+@pytest.mark.parametrize("mode", ["averaged", "last_iterate"])
+@pytest.mark.parametrize("x", [0.5, 3.3, 4.0])
+def test_master_replayed_base_run_costs_stay_within_the_ledger_mu(tuner, mode, x,
+                                                                  monkeypatch):
+    # each base run's GDP cost, rebuilt from its recorded schedule: m noisy
+    # steps read at noise sigma cost sqrt(m) * Delta / sigma, Delta = b / c
+    import dpmargin.optimizer as optimizer
+
+    n, delta = 30, 1e-5
+    ds = small_synth(n=n, d=6, gamma=0.4, seed=11)
+    runs = []
+    original = optimizer.ngd
+
+    def recording(c, dataset, mu, mode="averaged", seed=0, overrides=None):
+        model = original(c, dataset, mu, mode=mode, seed=seed, overrides=overrides)
+        runs.append((model.provenance.schedule, dataset.norm_bound / c, mode))
+        return model
+
+    monkeypatch.setattr(optimizer, "ngd", recording)
+    cfg = MasterConfig(epsilon=replay_epsilon(x, n, delta, tuner), delta=delta,
+                       tuner=tuner, output_mode=mode, seed=4)
+    ledger = dp_adaptive_margin(ds, cfg).ledger
+    assert {sched.T for sched, _, _ in runs} == {max(1, math.ceil(x))}
+
+    def cost(sched, delta_sens, run_mode):
+        read = sched.T if run_mode == "last_iterate" else sched.T - 1  # w_T; w_0..w_{T-1}
+        return math.sqrt(read) * delta_sens / sched.sigma
+
+    release = 1.0 / ledger["score_noise_std"]  # one score release
+    if tuner == "iterate":  # all runs and all releases compose
+        spent = [math.sqrt(math.fsum([cost(*run) ** 2 for run in runs]
+                                     + [release ** 2] * len(runs)))]
+    else:  # each run composes with its own release
+        spent = [math.hypot(cost(*run), release) for run in runs]
+    assert max(spent) <= ledger["mu"] * (1 + 1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason="T = ceil(n^2 mu^2) = 1 at n = 30, so the "

@@ -198,6 +198,14 @@ def test_budget_ledger_priv_tune_split_and_preconditions():
         budget_ledger(1.0, 1e-5, "grid", 8, n=100)
 
 
+def test_budget_ledger_states_the_add_remove_neighbouring_relation():
+    for ledger in (budget_ledger(1.0, 1e-5, "iterate", 8),
+                   budget_ledger(1.0, 1e-5, "priv_tune", 8, n=100)):
+        relation = ledger["neighbours"]
+        assert relation.startswith("add or remove one point; Delta = b/c; n is public")
+        assert relation.endswith("replace-one neighbours would need 2b/c")
+
+
 def test_conversion_dominates_exact_gaussian_tradeoff():
     # independent check: at the closed form's epsilon, the exact Gaussian
     # hockey-stick delta must not exceed the claimed delta
