@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 argument/precondition failure.
 Every command is deterministic given --seed; without it a seed is drawn from
-system entropy and logged.  The environment variables SOURCE_DATE_EPOCH and
-DPMARGIN_T_CAP are checked before any command reads or writes data.
+system entropy.  `synth` and `margin-curve` release nothing private, so they
+print the seed they draw.  `train` draws a 128-bit seed and prints nothing of
+it: its privacy guarantee assumes the noise seed is secret, so --seed is for
+reproducible tests, and publishing a seed voids the guarantee.  The
+environment variables SOURCE_DATE_EPOCH and DPMARGIN_T_CAP are checked before
+any command reads or writes data.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ def cmd_train(args) -> int:
                            "penalized": "penalized_population"}, "--score"),
         output_mode=mapped(args.mode, {None: None, "averaged": "averaged",
                                        "last": "last_iterate"}, "--mode"),
-        seed=_resolve_seed(args),
+        # the noise must stay secret: a drawn seed has 128 bits and is not shown
+        seed=secrets.randbits(128) if args.seed is None else args.seed,
         threads=1 if args.threads is None else args.threads,
     )
     result = dp_adaptive_margin(dataset, cfg)
@@ -245,7 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuner", choices=["iterate", "priv-tune"])
     p.add_argument("--score", choices=["empirical", "penalized"])
     p.add_argument("--mode", choices=["averaged", "last"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="noise seed, for reproducible tests; the privacy guarantee "
+                        "assumes a secret seed, so a published one voids it (default: "
+                        "128 bits from system entropy, not shown)")
     p.add_argument("--threads", type=int, default=None,
                    help="candidate pool size (default 1). With BLAS on one thread on a "
                         "2-core host, 2 cut an iterate train at n=4000, d=20 from 13.3 "

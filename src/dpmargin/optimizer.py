@@ -14,11 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._seeding import NGD_NOISE
-# ngd's noise generator: the calling thread's one, reset to what
-# `_seeding.stream` would start from.  It keeps the name `stream` because
-# perfbench's tracer times a run's seeding through `optimizer.stream`.
-from ._seeding import thread_stream as stream
+from ._seeding import NGD_NOISE, stream
 from .data import Dataset
 from .errors import DimensionError, ResourceError
 from .loss import hinge_sensitivity
@@ -125,8 +121,7 @@ def resolve_schedule(
     cap = iteration_cap()
     if T > cap:
         raise ResourceError(
-            f"T = {T} exceeds the iteration cap {cap}; raise DPMARGIN_T_CAP "
-            f"or pass an explicit T override"
+            f"T = {T} exceeds the iteration cap {cap}; raise DPMARGIN_T_CAP"
         )
     if overrides.sigma is None:
         sigma = gaussian_noise_std(delta_sens, mu / math.sqrt(T))
@@ -162,9 +157,9 @@ def ngd(
     Gradient noise is drawn from the seed's stream in blocks of at most 512
     rows, none longer than the steps left, so a noisy run draws exactly
     T * k normals.  The stream fills arrays in order, so the noise does not
-    depend on the block sizes.  The draws come from the calling thread's
-    generator reset to the seed's key (`_seeding.thread_stream`), the same
-    numbers a fresh `_seeding.stream(seed, NGD_NOISE)` gives.
+    depend on the block sizes.  Each run opens its own generator,
+    `_seeding.stream(seed, NGD_NOISE)`, so runs on any threads draw the same
+    numbers.
 
     The same descent runs in one of two forms, picked from (n, k, T) alone.
     The feature-space form keeps w and costs two n x k matrix-vector

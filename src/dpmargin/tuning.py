@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeding import CANDIDATE_PICK, CANDIDATE_SEED, SCORE_NOISE, TNB_RUNS, child_seeds, stream
+from ._seeding import CANDIDATE_PICK, CANDIDATE_SEED, SCORE_NOISE, TNB_RUNS, stream
 from ._seeding import child_seed  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .data import Dataset
 from .errors import MissingContextError, ResourceError
@@ -205,8 +205,9 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     noisy score.
 
     The score noise is drawn up front, the same draws `noisy_argmin` makes,
-    and so are the run seeds, in one pass (`child_seeds`) that gives the
-    seeds `child_seed` gives.  Each model is scored as it arrives.  Only the
+    and so are the run seeds: one call draws all of them, 63-bit integers
+    from the seed's CANDIDATE_SEED stream, and run i opens its own noise
+    stream from `seeds[i]`.  Each model is scored as it arrives.  Only the
     running minimum is kept, so a serial run holds one model at a time
     besides the best so far; the strict `<` keeps the first index on ties,
     as `noisy_argmin` does.
@@ -224,7 +225,7 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     start, so a pool never holds G while a JL run projects.
     """
     noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
-    seeds = child_seeds(seed, CANDIDATE_SEED, len(picks))
+    seeds = stream(seed, CANDIDATE_SEED).integers(2**63, size=len(picks))
     jl = np.array([isinstance(cand.phi, JlMatrix) for cand in candidates])
     held = list(candidates)
     for j in np.flatnonzero(jl & (np.bincount(picks, minlength=len(candidates)) > 1)):

@@ -87,6 +87,33 @@ def test_train_writes_model_and_reports(tmp_path, capsys, small_dataset,
     assert len(doc["weights"]) == 8
 
 
+def test_train_without_seed_draws_a_secret_one(tmp_path, capsys, small_dataset,
+                                               monkeypatch):
+    import dpmargin.cli as cli
+
+    drawn, used = [], []
+    randbits, mechanism = cli.secrets.randbits, cli.dp_adaptive_margin
+
+    def draw(bits):
+        drawn.append((bits, randbits(bits)))
+        return drawn[-1][1]
+
+    def train(dataset, cfg):
+        used.append(cfg.seed)
+        return mechanism(dataset, cfg)
+
+    monkeypatch.setattr(cli.secrets, "randbits", draw)
+    monkeypatch.setattr(cli, "dp_adaptive_margin", train)
+    model_path = tmp_path / "model.json"
+    code, stdout, err = run(capsys, "train", "--dataset", str(small_dataset),
+                            "--epsilon", "2", "--delta", "1e-6", "--out", str(model_path))
+    assert code == 0
+    assert len(json.loads(model_path.read_text())["weights"]) == 8
+    assert [bits for bits, _ in drawn] == [128] and used == [drawn[0][1]]
+    assert "seed" not in stdout and str(used[0]) not in stdout + err
+    assert stdout.splitlines()[0].startswith("empirical zero-one risk:")
+
+
 def test_train_thread_count_does_not_change_output(tmp_path, capsys,
                                                    small_dataset, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

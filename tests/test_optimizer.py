@@ -74,6 +74,9 @@ def test_iteration_cap_resource_error(monkeypatch):
     monkeypatch.setenv("DPMARGIN_T_CAP", "500")
     with pytest.raises(ResourceError):
         ngd(0.1, ds, mu=0.2)  # T = 1600 > 500 now
+    # an explicit T is held to the same cap, so the message names only the cap
+    with pytest.raises(ResourceError, match=r"raise DPMARGIN_T_CAP$"):
+        ngd(0.1, ds, mu=0.2, overrides=NgdOverrides(T=501))
 
 
 # ---------------------------------------------------------------- noise audit

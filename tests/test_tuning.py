@@ -11,7 +11,6 @@ from dpmargin._seeding import (
     CANDIDATE_SEED,
     SCORE_NOISE,
     TNB_RUNS,
-    child_seed,
     stream,
 )
 from dpmargin.data import synth_margin_dataset
@@ -504,7 +503,7 @@ def test_streamed_selection_matches_noisy_argmin(threads):
     base = random_model_base(ds)
 
     def reference(runs, noise_std, seed):
-        seeds = [child_seed(seed, CANDIDATE_SEED, i) for i in range(len(runs))]
+        seeds = stream(seed, CANDIDATE_SEED).integers(2**63, size=len(runs))
         models = [base(c, None, s) for c, s in zip(runs, seeds)]
         scores = [score(m, ds, spec) for m in models]
         pick = noisy_argmin(scores, noise_std, stream(seed, SCORE_NOISE))
