@@ -5,7 +5,10 @@ Every command is deterministic given --seed; without it a seed is drawn from
 system entropy.  `synth` and `margin-curve` release nothing private, so they
 print the seed they draw.  `train` draws a 128-bit seed and prints nothing of
 it: its privacy guarantee assumes the noise seed is secret, so --seed is for
-reproducible tests, and publishing a seed voids the guarantee.  The
+reproducible tests, and publishing a seed voids the guarantee; the budget
+ledger states that assumption (`secret_seed`).  `train` also prints the
+model's noiseless training risk, which no ledger covers: that line is
+released outside the guarantee, and says so.  The
 environment variables SOURCE_DATE_EPOCH and DPMARGIN_T_CAP are checked before
 any command reads or writes data.
 """
@@ -138,6 +141,7 @@ def cmd_train(args) -> int:
             fh.write(text + "\n")
     risk = training_risk(result.model, dataset)
     print(f"empirical zero-one risk: {risk:.6f}")
+    print("(the noiseless training risk above is released outside the privacy guarantee)")
     print(f"selected margin candidate: {result.gamma_out:g}")
     print(f"privacy: {result.ledger['guarantee']}")
     return 0

@@ -22,7 +22,7 @@ from ._seeding import JL_SIGNS, child_seed
 from .data import Dataset, geometric_margin_oracle, min_outliers_oracle, row_norms
 from .errors import DataFormatError, SizeError
 from .loss import LossSpec, empirical_risk
-from .optimizer import LinearModel, Provenance, env_int, jlgd
+from .optimizer import LinearModel, Provenance, SelectionRun, env_int, jlgd, run_length
 from .privacy import budget_ledger
 from .projection import IdentityMap, projection_dim, sample_jl
 from .tuning import Candidate, ScoreSpec, TnbDist, iter_tune, priv_tune
@@ -117,12 +117,15 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
     mode = cfg.resolved_mode()
     spec = ScoreSpec(cfg.score_kind)
 
-    def base(candidate: Candidate, mu_run: float, run_seed: int) -> LinearModel:
+    def base(candidate: Candidate, mu_run: float, run: SelectionRun) -> LinearModel:
         # gamma/3 is the margin-preservation target; hard-wired in master mode.
         return jlgd(candidate.phi, candidate.gamma / 3.0, dataset, mu_run,
-                    mode=mode, seed=run_seed, low=candidate.rows)
+                    mode=mode, seed=run, low=candidate.rows)
 
     ledger = budget_ledger(cfg.epsilon, cfg.delta, cfg.tuner, grid_size, n)
+    # every run's T follows from n and the per-run budget: refuse one above
+    # the iteration cap before any run
+    run_length(n, ledger["per_candidate_mu" if cfg.tuner == "iterate" else "per_run_mu"])
     if cfg.tuner == "iterate":
         model, winner = iter_tune(base, candidates, dataset, ledger["mu"], spec,
                                   seed=cfg.seed, threads=cfg.threads)

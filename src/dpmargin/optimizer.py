@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from ._seeding import NGD_NOISE, stream
+from ._seeding import NGD_NOISE, block_stream, stream
 from .data import Dataset
 from .errors import DimensionError, ResourceError
 from .loss import hinge_sensitivity
@@ -63,6 +64,20 @@ class NgdOverrides:
 _NO_OVERRIDES = NgdOverrides()
 
 
+class SelectionRun(NamedTuple):
+    """Run `index` of a selection, which a tuner passes to its base for
+    `ngd`'s seed.
+
+    The run draws its noise from `_seeding.block_stream(key, index)`, `key`
+    being `noise_key` of the selection's seed, and holds its T to `cap`, the
+    iteration cap its selection read once.
+    """
+
+    key: int
+    index: int
+    cap: int
+
+
 @dataclass(frozen=True)
 class NgdConfig:
     """Resolved schedule actually used by a run."""
@@ -95,6 +110,27 @@ class LinearModel:
         object.__setattr__(self, "weights", w)
 
 
+def run_length(n: int, mu: float, overrides: NgdOverrides = _NO_OVERRIDES,
+               cap: int | None = None) -> int:
+    """T for a run at budget mu: the override, else ceil(n^2 mu^2), at least 1.
+
+    A T above `cap` raises ResourceError; None reads `iteration_cap()`.
+    """
+    if overrides.T is not None:
+        T = int(overrides.T)
+        if T < 1:
+            raise ValueError("T override must be >= 1")
+    else:
+        T = max(1, math.ceil((n * mu) ** 2))
+    if cap is None:
+        cap = iteration_cap()
+    if T > cap:
+        raise ResourceError(
+            f"T = {T} exceeds the iteration cap {cap}; raise DPMARGIN_T_CAP"
+        )
+    return T
+
+
 def resolve_schedule(
     n: int,
     k: int,
@@ -102,8 +138,9 @@ def resolve_schedule(
     mu: float,
     mode: str,
     overrides: NgdOverrides,
+    cap: int | None = None,
 ) -> tuple[int, float, float]:
-    """Return (T, sigma, eta) for a run.
+    """Return (T, sigma, eta) for a run; T is `run_length`'s, held to `cap`.
 
     Defaults: T = ceil(n^2 mu^2), sigma = delta_sens * sqrt(T) / mu (each
     step mu/sqrt(T)-GDP, so T noisy steps compose to mu), and eta balancing
@@ -112,17 +149,7 @@ def resolve_schedule(
     noisy steps, so it costs at most mu; at a fractional n^2 mu^2 the
     ceiling costs a little accuracy, not privacy.
     """
-    if overrides.T is not None:
-        T = int(overrides.T)
-        if T < 1:
-            raise ValueError("T override must be >= 1")
-    else:
-        T = max(1, math.ceil((n * mu) ** 2))
-    cap = iteration_cap()
-    if T > cap:
-        raise ResourceError(
-            f"T = {T} exceeds the iteration cap {cap}; raise DPMARGIN_T_CAP"
-        )
+    T = run_length(n, mu, overrides, cap)
     if overrides.sigma is None:
         sigma = gaussian_noise_std(delta_sens, mu / math.sqrt(T))
     else:
@@ -136,6 +163,8 @@ def resolve_schedule(
         if mode == "last_iterate":
             noise_term *= math.log(1.0 / BETA_OPT)
         eta = math.sqrt(1.0 / (T * ((n * delta_sens) ** 2 + noise_term)))
+    if not eta > 0:
+        raise ValueError("eta must be positive")
     return T, sigma, eta
 
 
@@ -144,7 +173,7 @@ def ngd(
     dataset: Dataset,
     mu: float,
     mode: str = "averaged",
-    seed: int = 0,
+    seed: int | SelectionRun = 0,
     overrides: NgdOverrides | None = None,
 ) -> LinearModel:
     """Noisy subgradient descent on the summed hinge loss at `c` from w0 = 0.
@@ -154,17 +183,21 @@ def ngd(
     own schedule (T, sigma, eta) and form, and records the schedule in the
     model's `provenance.schedule`.
 
-    Gradient noise is drawn from the seed's stream in blocks of at most 512
+    Gradient noise is drawn from the run's stream in blocks of at most 512
     rows, none longer than the steps left, so a noisy run draws exactly
     T * k normals.  The stream fills arrays in order, so the noise does not
-    depend on the block sizes.  Each run opens its own generator,
-    `_seeding.stream(seed, NGD_NOISE)`, so runs on any threads draw the same
-    numbers.
+    depend on the block sizes.  An integer seed opens
+    `_seeding.stream(seed, NGD_NOISE)` and reads DPMARGIN_T_CAP; a
+    `SelectionRun` reads its selection's key at its own counter block
+    (`_seeding.block_stream`) and brings the cap its selection read.  Block
+    0 of a seed's key is that seed's stream, so either way runs on any
+    threads draw the same numbers.
 
     The same descent runs in one of two forms, picked from (n, k, T) alone.
-    The feature-space form keeps w and costs two n x k matrix-vector
-    products a step.  The Gram form keeps the scores S w (S the signed
-    rows), costs at most one n x n product a step with G = S S^T, and
+    The feature-space form keeps w, as its gradient sum less its noise
+    sum, and costs two n x k matrix-vector products a step.  The Gram form
+    keeps the scores S w (S the signed rows), costs at most one n x n
+    product a step with G = S S^T, and
     rebuilds w at the end; it runs when n < 2k and T is long enough to repay
     G (see `_gram_pays`).  G is built by the first run that reads it and
     kept on the dataset (`Dataset.gram`), so every Gram-form run on one
@@ -182,9 +215,11 @@ def ngd(
         raise ValueError("mu must be positive")
     n, k = dataset.n, dataset.dim
     delta_sens = hinge_sensitivity(dataset.norm_bound, c)
-    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or _NO_OVERRIDES)
+    run = seed if isinstance(seed, SelectionRun) else None
+    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or _NO_OVERRIDES,
+                                     run.cap if run else None)
     descent = _gram_descent if _gram_pays(n, k, T) else _feature_descent
-    rng = stream(seed, NGD_NOISE)
+    rng = block_stream(run.key, run.index) if run else stream(seed, NGD_NOISE)
     out = descent(dataset, c, T, sigma, eta, mode == "averaged", rng)
     return LinearModel(out, k, Provenance(k=k, schedule=NgdConfig(T=T, sigma=sigma, eta=eta)))
 
@@ -209,32 +244,51 @@ def _gram_pays(n: int, k: int, T: int) -> bool:
 
 
 def _feature_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
-    """The descent on w: scores and gradient from S every step."""
+    """The descent on w: scores and gradient from S every step.
+
+    With a = 1[S w < c] the active rows, w_t = (eta/c) (p_t - r_t) for the
+    pulls p_t = sum_{u<t} S^T a_u and the noise r_t = c sigma sum_{u<t} z_u,
+    and S w_t < c iff S (p_t - r_t) < c^2/eta.  So the loop keeps
+    x = p - r, takes r from one cumulative sum per noise block, and scales
+    by eta/c once at the end.  Step t scores x_t at its end, for step
+    t + 1: S w_0 = 0 is never computed, and neither is S w_T.
+    """
     signed = dataset.signed_features()
     signed_t = signed.T
     n, k = signed.shape
-    w = np.zeros(k)
-    averaged = np.zeros(k)
-    grad = np.empty(k)
-    scores = np.empty(n)
-    inv_c = -1.0 / c
+    scale = eta / c
+    limit = c / scale
+    noisy = sigma > 0.0
+    pulls = np.zeros(k)
+    x = np.empty(k) if noisy else pulls
+    total = np.zeros(k)  # sum_{t<T} x_t; x_0 = 0
+    scores = np.zeros(n)  # S x_t
+    step = np.empty(k)
+    drift = np.zeros(k)  # r at the start of the block
     for start in range(0, T, _NOISE_BLOCK):
         rows = min(_NOISE_BLOCK, T - start)
-        if sigma > 0.0:
+        last = rows - 1 if start + rows == T else rows
+        if noisy:
             block = rng.standard_normal((rows, k))
-            block *= sigma
+            block *= c * sigma
+            block[0] += drift
+            np.cumsum(block, axis=0, out=block)  # row t is r_{start + t + 1}
+            drift = block[-1]
         for t in range(rows):
-            np.dot(signed, w, out=scores)
-            active = (scores < c).astype(np.float64)  # zero subgradient at the kink
-            np.dot(signed_t, active, out=grad)
-            grad *= inv_c
+            active = (scores < limit).astype(np.float64)  # zero subgradient at the kink
+            np.dot(signed_t, active, out=step)
+            pulls += step
+            if noisy:
+                np.subtract(pulls, block[t], out=x)
+            if t == last:
+                break
+            np.dot(signed, x, out=scores)
             if averaging:
-                averaged += w
-            if sigma > 0.0:
-                grad += block[t]
-            grad *= eta
-            w -= grad
-    return averaged / T if averaging else w
+                total += x
+    if averaging:
+        total *= scale / T
+        return total
+    return x * scale
 
 
 def _gram_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:

@@ -18,6 +18,10 @@ _REL_SLACK = 1e-9  # float tolerance at closed-form precondition boundaries
 #: The neighbouring relation every ledger's guarantee is stated for.
 NEIGHBOURS = ("add or remove one point; Delta = b/c; n is public, as the grid, T and k "
               "are computed from it; replace-one neighbours would need 2b/c")
+#: The assumption on the seed that every ledger's guarantee rests on.
+SECRET_SEED = ("assumed: every noise draw follows from the seed, so the guarantee holds "
+               "only while the seed stays secret; --seed is for reproducible tests, and "
+               "a published seed voids the guarantee")
 
 
 def gaussian_noise_std(sensitivity: float, mu: float) -> float:
@@ -135,7 +139,8 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
     the per-run budget and score-noise std are the ones it injects.  The
     guarantee is (epsilon, delta)-DP for "iterate" and
     (epsilon + delta, delta)-DP for "priv_tune", which also needs n, both
-    under the add/remove-one relation in `neighbours`.
+    under the add/remove-one relation in `neighbours` and with a secret seed
+    (`secret_seed`).
     """
     if tuner == "iterate":
         mu = master_iter_budget(epsilon, delta)
@@ -154,6 +159,7 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
             "delta": delta,
             "guarantee": f"({epsilon:g}, {delta:g})-DP",
             "neighbours": NEIGHBOURS,
+            "secret_seed": SECRET_SEED,
         }
     if tuner != "priv_tune":
         raise ValueError(f"unknown tuner {tuner!r}")
@@ -174,6 +180,7 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
         "guarantee": f"({eps_total:g}, {delta:g})-DP"
                      f" (= (epsilon + delta, delta) at epsilon = {epsilon:g})",
         "neighbours": NEIGHBOURS,
+        "secret_seed": SECRET_SEED,
     }
 
 

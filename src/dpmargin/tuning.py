@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeding import CANDIDATE_PICK, CANDIDATE_SEED, SCORE_NOISE, TNB_RUNS, stream
+from ._seeding import CANDIDATE_PICK, SCORE_NOISE, TNB_RUNS, noise_key, stream
 from ._seeding import child_seed  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .data import Dataset
 from .errors import MissingContextError, ResourceError
-from .optimizer import LinearModel, project_rows
+from .optimizer import LinearModel, SelectionRun, iteration_cap, project_rows
 from .privacy import per_candidate_budget
 from .projection import JlMatrix
 
@@ -109,12 +109,13 @@ def iter_tune(
     seed: int = 0,
     threads: int = 1,
 ) -> tuple[LinearModel, Candidate]:
-    """Run `base(candidate, budget, seed)` once per candidate at an even
+    """Run `base(candidate, budget, run)` once per candidate at an even
     budget split and return the noisy-score argmin.  Total GDP cost is mu.
     The run list is `np.arange(len(candidates))`: run i reads candidate i.
 
-    Candidate runs use independent derived seeds, so evaluating them on any
-    number of worker threads yields identical output.
+    Run i draws its noise from its own counter block of the seed's noise
+    key (`SelectionRun`), so evaluating the runs on any number of worker
+    threads yields identical output.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -200,17 +201,17 @@ def priv_tune(
 def _private_select(base, candidates: list[Candidate], picks: np.ndarray, dataset: Dataset,
                     base_mu: float, noise_std: float, spec: ScoreSpec, seed: int,
                     threads: int):
-    """Run `base` once per entry of `picks`, run i on `candidates[picks[i]]`
-    at budget base_mu, and return the (model, candidate) pair with the least
-    noisy score.
+    """Run `base` once per entry of `picks`, run i as
+    `base(candidates[picks[i]], base_mu, SelectionRun(key, i, cap))`, and
+    return the (model, candidate) pair with the least noisy score.
 
-    The score noise is drawn up front, the same draws `noisy_argmin` makes,
-    and so are the run seeds: one call draws all of them, 63-bit integers
-    from the seed's CANDIDATE_SEED stream, and run i opens its own noise
-    stream from `seeds[i]`.  Each model is scored as it arrives.  Only the
-    running minimum is kept, so a serial run holds one model at a time
-    besides the best so far; the strict `<` keeps the first index on ties,
-    as `noisy_argmin` does.
+    The score noise is drawn up front, the same draws `noisy_argmin` makes.
+    The noise key, `_seeding.noise_key(seed)`, and the iteration cap are
+    read once; run i reads the key from counter block i, so no run hashes a
+    seed of its own.  Each model is scored as it arrives.  Only the running
+    minimum is kept, so a serial run holds one model at a time besides the
+    best so far; the strict `<` keeps the first index on ties, as
+    `noisy_argmin` does.
 
     Everything else is read from `picks`.  A JL candidate picked more than
     once has its matrix generated and its rows projected once, before the
@@ -225,7 +226,7 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     start, so a pool never holds G while a JL run projects.
     """
     noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
-    seeds = stream(seed, CANDIDATE_SEED).integers(2**63, size=len(picks))
+    key, cap = noise_key(seed), iteration_cap()
     jl = np.array([isinstance(cand.phi, JlMatrix) for cand in candidates])
     held = list(candidates)
     for j in np.flatnonzero(jl & (np.bincount(picks, minlength=len(candidates)) > 1)):
@@ -235,7 +236,7 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     cut = int(gram_runs[-1]) + 1 if gram_runs.size else 0
 
     def run(i):
-        return base(held[picks[i]], base_mu, int(seeds[i]))
+        return base(held[picks[i]], base_mu, SelectionRun(key, i, cap))
 
     best = None
     for part in (range(cut), range(cut, len(picks))):

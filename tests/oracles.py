@@ -64,3 +64,22 @@ def tnb_tune_privacy_exact(mu: float, r: float, delta: float) -> float:
     1.5 mu^2 + 3 mu sqrt(2 ln(1/(r delta))) + delta."""
     root = math.sqrt(2.0 * math.log(1.0 / (r * delta)))
     return 1.5 * mu * mu + 3.0 * mu * root + delta
+
+
+def noisy_descent(signed, c: float, T: int, sigma: float, eta: float, averaging: bool,
+                  rng) -> np.ndarray:
+    """Noisy subgradient descent one step and one noise row at a time.
+
+    w_{t+1} = w_t - eta (g_t + sigma z_t) from w_0 = 0, with g_t = -(1/c) times
+    the sum of the signed rows whose score <w_t, s_i> is below c; returns
+    (1/T) sum_{t<T} w_t or w_T.
+    """
+    w = np.zeros(signed.shape[1])
+    total = np.zeros_like(w)
+    for _ in range(T):
+        total += w
+        grad = -signed[signed @ w < c].sum(axis=0) / c
+        if sigma > 0.0:
+            grad = grad + sigma * rng.standard_normal(w.shape[0])
+        w = w - eta * grad
+    return total / T if averaging else w

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from dpmargin.cli import main
 from dpmargin.data import load_dataset
 from dpmargin.master import MasterConfig
+from dpmargin.privacy import SECRET_SEED
 
 
 def run(capsys, *argv):
@@ -85,6 +87,18 @@ def test_train_writes_model_and_reports(tmp_path, capsys, small_dataset,
     assert "privacy: (2, 1e-06)-DP" in stdout
     doc = json.loads(model_path.read_text())
     assert len(doc["weights"]) == 8
+
+
+def test_train_says_its_risk_line_is_outside_the_guarantee(tmp_path, capsys,
+                                                          small_dataset):
+    code, stdout, _ = run(capsys, "train", "--dataset", str(small_dataset),
+                          "--epsilon", "2", "--delta", "1e-6", "--seed", "5")
+    assert code == 0
+    lines = stdout.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("empirical zero-one risk:"))
+    assert re.fullmatch(r"empirical zero-one risk: \d\.\d{6}", lines[at])  # the benchmark parses it
+    assert lines[at + 1] == ("(the noiseless training risk above is released outside the "
+                             "privacy guarantee)")
 
 
 def test_train_without_seed_draws_a_secret_one(tmp_path, capsys, small_dataset,
@@ -392,6 +406,22 @@ def test_privacy_report_prints_the_model_ledger(tmp_path, capsys, monkeypatch, t
                           "--epsilon", "1", "--delta", "1e-5", "--tuner", tuner)
     assert code == 0
     assert json.loads(stdout) == ledger
+
+
+@pytest.mark.parametrize("tuner", ["iterate", "priv-tune"])
+def test_model_file_and_privacy_report_state_the_secret_seed_assumption(tmp_path, capsys,
+                                                                       tuner):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run(capsys, "synth", "--n", "30", "--d", "5", "--gamma", "0.4", "--seed", "2",
+        "--out", str(data))
+    code, _, _ = run(capsys, "train", "--dataset", str(data), "--epsilon", "1",
+                     "--delta", "1e-5", "--tuner", tuner, "--seed", "3", "--out", str(model))
+    assert code == 0
+    assert json.loads(model.read_text())["ledger"]["secret_seed"] == SECRET_SEED
+    code, stdout, _ = run(capsys, "privacy-report", "--n", "30", "--epsilon", "1",
+                          "--delta", "1e-5", "--tuner", tuner)
+    assert code == 0 and f"secret_seed: {SECRET_SEED}" in stdout.splitlines()
+    assert "published seed voids the guarantee" in SECRET_SEED
 
 
 def test_privacy_report_grid_contradicting_n_exit_2(capsys):

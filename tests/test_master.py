@@ -8,7 +8,7 @@ import pytest
 
 import dpmargin.master as master_mod
 from dpmargin.data import synth_margin_dataset
-from dpmargin.errors import PrivacyBudgetError, SizeError
+from dpmargin.errors import PrivacyBudgetError, ResourceError, SizeError
 from dpmargin.master import (
     MasterConfig,
     build_candidates,
@@ -328,6 +328,40 @@ def test_master_replayed_base_run_costs_stay_within_the_ledger_mu(tuner, mode, x
     else:  # each run composes with its own release
         spent = [math.hypot(cost(*run), release) for run in runs]
     assert max(spent) <= ledger["mu"] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("tuner", ["iterate", "priv_tune"])
+def test_master_reads_the_iteration_cap_once_and_refuses_before_any_run(tuner,
+                                                                        monkeypatch):
+    import dpmargin.optimizer as optimizer
+    import dpmargin.tuning as tuning
+
+    reads, runs, steps = [], [], set()
+    for module in (optimizer, tuning):
+        monkeypatch.setattr(module, "iteration_cap",
+                            lambda read=module.iteration_cap: reads.append(1) or read())
+    original = master_mod.jlgd
+
+    def recording(*args, **kwargs):
+        runs.append(1)  # a run started
+        model = original(*args, **kwargs)
+        steps.add(model.provenance.schedule.T)
+        return model
+
+    monkeypatch.setattr(master_mod, "jlgd", recording)
+    ds = small_synth(n=40, d=6, gamma=0.4, seed=11)
+    cfg = MasterConfig(epsilon=2.0, delta=1e-5, tuner=tuner, seed=4)
+    dp_adaptive_margin(ds, cfg)
+    # once for the preflight, once by the selection, whatever the run count
+    assert len(runs) >= 7 and len(reads) == 2
+    (T,) = steps
+    assert T > 1
+    reads.clear()
+    runs.clear()
+    monkeypatch.setenv("DPMARGIN_T_CAP", str(T - 1))
+    with pytest.raises(ResourceError, match=f"T = {T} exceeds the iteration cap {T - 1}"):
+        dp_adaptive_margin(ds, cfg)
+    assert runs == [] and len(reads) == 1
 
 
 @pytest.mark.xfail(strict=True, reason="T = ceil(n^2 mu^2) = 1 at n = 30, so the "

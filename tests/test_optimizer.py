@@ -24,6 +24,7 @@ from dpmargin.optimizer import (
 from dpmargin.projection import IdentityMap, lift, project_and_clip, sample_jl
 
 from conftest import random_unit_dataset
+from oracles import noisy_descent
 
 
 def planted(n=120, d=8, gamma=0.4, outliers=0, seed=0):
@@ -152,23 +153,33 @@ def test_ngd_draws_exactly_t_times_k_normals(monkeypatch):
 
 
 def full_block_reference(ds, c, schedule, seed):
-    """The descent loop drawing noise in full 512-row blocks; (averaged, last)."""
+    """The feature-space loop drawing noise in full 512-row blocks; (averaged, last).
+
+    It runs `_feature_descent`'s arithmetic, w_t = (eta/c)(p_t - r_t) with
+    r from one cumulative sum per block, so a feature-space run matches it
+    bit for bit whatever its own block sizes; `oracles.noisy_descent` checks
+    that arithmetic against the plain per-step update."""
     signed = ds.signed_features()
     T, sigma, eta = schedule.T, schedule.sigma, schedule.eta
     rng = stream(seed, NGD_NOISE)
-    w = np.zeros(ds.dim)
-    averaged = np.zeros(ds.dim)
+    scale = eta / c
+    pulls = np.zeros(ds.dim)
+    x = pulls
+    total = np.zeros(ds.dim)
+    drift = np.zeros(ds.dim)
     for t in range(T):
-        if t % 512 == 0:
-            block = rng.standard_normal((512, ds.dim)) * sigma
-        active = (signed @ w < c).astype(np.float64)
-        grad = signed.T @ active
-        grad *= -1.0 / c
-        averaged += w
-        grad += block[t % 512]
-        grad *= eta
-        w -= grad
-    return averaged / T, w
+        if t:
+            total += x
+        if sigma > 0.0 and t % 512 == 0:
+            block = rng.standard_normal((512, ds.dim)) * (c * sigma)
+            block[0] += drift
+            block = np.cumsum(block, axis=0)
+            drift = block[-1]
+        active = (signed @ x < c / scale).astype(np.float64)
+        pulls += signed.T @ active
+        x = pulls - block[t % 512] if sigma > 0.0 else pulls
+    total *= scale / T
+    return total, x * scale
 
 
 def dense_gram_reference(signed, c, T, sigma, eta, averaging, rng):
@@ -262,6 +273,22 @@ def test_gram_form_jl_run_matches_reference():
         np.testing.assert_array_equal(
             model.weights,
             lift(phi, dense_reference_weights(low, 0.13, schedule, mode == "averaged", 2)))
+
+
+@pytest.mark.parametrize("T", [1, 12, 1100])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("averaging", [True, False])
+def test_feature_descent_matches_the_per_step_oracle(T, noisy, averaging):
+    # T = 1100 spans three noise blocks of at most 512 rows
+    ds = planted(n=60, d=5, gamma=0.3, outliers=3, seed=14)
+    c = 0.1
+    schedule = ngd(c, ds, mu=0.5, overrides=NgdOverrides(T=T)).provenance.schedule
+    sigma = schedule.sigma if noisy else 0.0
+    got = _feature_descent(ds, c, T, sigma, schedule.eta, averaging, stream(8, NGD_NOISE))
+    want = noisy_descent(ds.signed_features(), c, T, sigma, schedule.eta, averaging,
+                         stream(8, NGD_NOISE))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.any(want != 0.0) or (averaging and T == 1)
 
 
 @settings(max_examples=40, deadline=None)

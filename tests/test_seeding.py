@@ -1,6 +1,6 @@
 """How a seed becomes streams: every bit of the seed counts, only `_seeding`
-builds generators, and a priv-tune selection gives each run its own seed
-and its own fresh noise stream."""
+builds or moves generators, and a priv-tune selection derives one noise key
+and gives run i that key's counter block i."""
 
 import pathlib
 import re
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import dpmargin
-from dpmargin._seeding import NGD_NOISE, TNB_RUNS, stream
+from dpmargin._seeding import NGD_NOISE, TNB_RUNS, block_stream, noise_key, stream
 from dpmargin.data import synth_margin_dataset
-from dpmargin.optimizer import _feature_descent, jlgd
+from dpmargin.optimizer import SelectionRun, _feature_descent, iteration_cap, jlgd
 from dpmargin.projection import IdentityMap
 from dpmargin.tuning import Candidate, ScoreSpec, TnbDist, priv_tune, sample_tnb
 
@@ -26,19 +26,33 @@ def test_stream_reads_seed_bits_above_64(seed):
 
 
 def test_only_the_seeding_module_builds_generators():
+    # building a generator, or moving one by its state, advance() or jumped()
     src = pathlib.Path(dpmargin.__file__).parent
-    builders = re.compile(r"default_rng|Generator\(|Philox\(|SeedSequence\(")
+    builders = re.compile(r"default_rng|Generator\(|Philox\(|SeedSequence\("
+                          r"|\.state\s*=[^=]|\badvance\(|\bjumped\(")
     found = sorted(path.name for path in src.rglob("*.py")
                    if path.name != "_seeding.py" and builders.search(path.read_text()))
     assert found == []
     assert builders.search((src / "_seeding.py").read_text())
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**64 + 1, 2**127 + 3])
+def test_block_zero_of_the_noise_key_is_the_seeds_noise_stream(seed):
+    want = stream(seed, NGD_NOISE)
+    got = block_stream(noise_key(seed), 0)
+    assert got.standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+    assert got.integers(2**63, size=5).tolist() == want.integers(2**63, size=5).tolist()
+    # moving the thread's generator drops whatever it had buffered
+    got.integers(2**32, dtype=np.uint32)
+    again = block_stream(noise_key(seed), 0).standard_normal(3)
+    assert again.tobytes() == stream(seed, NGD_NOISE).standard_normal(3).tobytes()
+
+
 def long_selection():
     """A priv-tune selection of 1,000-3,000 two-step noisy descents.
 
-    `select(threads, runs)` appends each run's (candidate, seed, model) to
-    `runs` when given."""
+    Returns (select, dataset, seed).  `select(threads, runs)` appends each
+    run's (candidate, run, model) to `runs` when given."""
     ds = synth_margin_dataset(20, 3, 0.4, 0, seed=16)[0]
     dist = TnbDist(1, 1e-3)
     seed = next(s for s in range(200)
@@ -46,44 +60,72 @@ def long_selection():
     cands = [Candidate(g, IdentityMap(ds.dim)) for g in (0.2, 0.4, 0.8)]
 
     def select(threads, runs=None):
-        def base(candidate, mu, s):
-            model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+        def base(candidate, mu, run):
+            model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=run)
             if runs is not None:
-                runs.append((candidate, s, model))
+                runs.append((candidate, run, model))
             return model
 
         return priv_tune(base, cands, dist, ds, 0.1, ScoreSpec("empirical_zero_one"),
                          seed=seed, threads=threads)
 
-    return select, ds
+    return select, ds, seed
+
+
+def rerun(ds, cand, model, rng):
+    """The run's descent again, on the noise stream `rng`."""
+    sched = model.provenance.schedule
+    assert sched.T == 2 and sched.sigma > 0
+    return _feature_descent(ds, cand.gamma / 3, sched.T, sched.sigma, sched.eta, True, rng)
 
 
 def test_priv_tune_run_seeds_are_pairwise_distinct():
-    select, _ = long_selection()
+    # run i gets block i of the one key its selection derived, and the cap
+    # its selection read
+    select, _, seed = long_selection()
     runs = []
     select(1, runs)
-    seeds = [s for _, s, _ in runs]
-    assert 1000 <= len(seeds) <= 3000
-    assert len(set(seeds)) == len(seeds)
-    assert all(isinstance(s, int) and 0 <= s < 2**63 for s in seeds)
+    assert 1000 <= len(runs) <= 3000
+    assert [run for _, run, _ in runs] == [SelectionRun(noise_key(seed), i, iteration_cap())
+                                           for i in range(len(runs))]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_priv_tune_runs_each_draw_from_a_fresh_noise_stream(threads):
-    select, ds = long_selection()
+    # each run draws what a new Philox generator at its key and counter draws
+    select, ds, _ = long_selection()
     runs = []
     select(threads, runs)
     assert len(runs) >= 1000
-    for cand, s, model in runs:
-        sched = model.provenance.schedule
-        assert sched.T == 2 and sched.sigma > 0
-        rerun = _feature_descent(ds, cand.gamma / 3, sched.T, sched.sigma, sched.eta, True,
-                                 stream(s, NGD_NOISE))
-        assert model.weights.tobytes() == rerun.tobytes()
+    for cand, run, model in runs:
+        words = np.array([run.key & (2**64 - 1), run.key >> 64], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=words, counter=[0, 0, run.index, 0]))
+        assert model.weights.tobytes() == rerun(ds, cand, model, fresh).tobytes()
+
+
+def test_priv_tune_run_weights_rebuild_from_the_seed_and_run_index():
+    select, ds, seed = long_selection()
+    runs = []
+    select(2, runs)
+    runs.sort(key=lambda entry: entry[1].index)
+    assert [run.index for _, run, _ in runs] == list(range(len(runs)))
+    for i in reversed(range(len(runs))):
+        cand, _, model = runs[i]
+        rebuilt = rerun(ds, cand, model, block_stream(noise_key(seed), i))
+        assert model.weights.tobytes() == rebuilt.tobytes()
+
+
+def test_no_two_runs_of_a_selection_share_their_first_draws():
+    select, ds, _ = long_selection()
+    runs = []
+    select(1, runs)
+    first = {block_stream(run.key, run.index).standard_normal(ds.dim).tobytes()
+             for _, run, _ in runs}
+    assert len(first) == len(runs) >= 1000
 
 
 def test_priv_tune_is_bit_identical_across_threads_and_to_fresh_streams():
-    select, _ = long_selection()
+    select, _, _ = long_selection()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # more thread switches inside the runs
     try:

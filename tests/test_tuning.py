@@ -8,14 +8,14 @@ import pytest
 
 from dpmargin._seeding import (
     CANDIDATE_PICK,
-    CANDIDATE_SEED,
     SCORE_NOISE,
     TNB_RUNS,
+    noise_key,
     stream,
 )
 from dpmargin.data import synth_margin_dataset
 from dpmargin.errors import MissingContextError, ResourceError
-from dpmargin.optimizer import LinearModel, Provenance, jlgd
+from dpmargin.optimizer import LinearModel, Provenance, SelectionRun, iteration_cap, jlgd
 from dpmargin.privacy import per_candidate_budget
 from dpmargin.projection import IdentityMap, JlMatrix, sample_jl
 from dpmargin.tuning import (
@@ -503,7 +503,7 @@ def test_streamed_selection_matches_noisy_argmin(threads):
     base = random_model_base(ds)
 
     def reference(runs, noise_std, seed):
-        seeds = stream(seed, CANDIDATE_SEED).integers(2**63, size=len(runs))
+        seeds = [SelectionRun(noise_key(seed), i, iteration_cap()) for i in range(len(runs))]
         models = [base(c, None, s) for c, s in zip(runs, seeds)]
         scores = [score(m, ds, spec) for m in models]
         pick = noisy_argmin(scores, noise_std, stream(seed, SCORE_NOISE))
