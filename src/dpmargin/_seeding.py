@@ -10,7 +10,8 @@ decoupled, so coupling tests can replay one stream while varying another.
 
 A selection's base runs share one key, `noise_key(seed)`, derived once, and
 run i reads it from counter block i (`block_stream`), so no run hashes a
-seed of its own and runs on any threads draw the same numbers.
+seed of its own and runs on any threads draw the same numbers.  Runs that
+descend together read their blocks in turns (`BlockReader`).
 """
 
 from __future__ import annotations
@@ -54,6 +55,17 @@ def noise_key(seed: int) -> int:
 _THREAD = threading.local()
 
 
+def _thread_generator():
+    local = _THREAD
+    try:
+        return local.generator, local.state
+    except AttributeError:
+        generator = local.generator = np.random.Generator(np.random.Philox(0))
+        # an empty buffer; only the key and counter are rewritten by block_stream
+        local.state = generator.bit_generator.state
+        return generator, local.state
+
+
 def block_stream(key: int, block: int) -> np.random.Generator:
     """The Philox stream of `key` from counter [0, 0, block, 0].
 
@@ -67,18 +79,44 @@ def block_stream(key: int, block: int) -> np.random.Generator:
     state: 1.9 us a call, where a new Philox at the same key and counter
     costs 11 us because numpy builds an entropy SeedSequence it never reads
     (`timeit`, numpy 2.4, x86).  The thread's next call moves it again, so
-    draw everything from one block first.
+    draw everything from one block first, or read several blocks in turns
+    with `BlockReader`.
     """
-    local = _THREAD
-    try:
-        generator, state = local.generator, local.state
-    except AttributeError:
-        generator = local.generator = np.random.Generator(np.random.Philox(0))
-        # an empty buffer; only the key and counter are rewritten below
-        state = local.state = generator.bit_generator.state
+    generator, state = _thread_generator()
     words = state["state"]
     words["key"][0] = key & _WORD
     words["key"][1] = key >> 64
     words["counter"][2] = block
     generator.bit_generator.state = state
     return generator
+
+
+class BlockReader:
+    """Counter blocks `blocks` of `key`, each read as its own stream, in turns.
+
+    `normals(out, more)` fills out[j] with the next out[j].size normals of
+    the stream of `blocks[j]`, for each j < len(blocks), so what successive
+    calls put in out[j] is what `block_stream(key, blocks[j])` draws in one
+    go; the rest of `out` is left as it is.  Every
+    stream is read on the calling thread's generator: the first call moves
+    it to each block, and a call with `more` set keeps each stream's
+    position after its fill, for the next call to restore.
+    """
+
+    def __init__(self, key: int, blocks):
+        self.key = key
+        self.blocks = blocks
+        self._states = None
+
+    def normals(self, out: np.ndarray, more: bool) -> None:
+        generator, _ = _thread_generator()
+        kept = []
+        for j, block in enumerate(self.blocks):
+            if self._states is None:
+                block_stream(self.key, int(block))
+            else:
+                generator.bit_generator.state = self._states[j]
+            generator.standard_normal(out=out[j])
+            if more:
+                kept.append(generator.bit_generator.state)
+        self._states = kept if more else None

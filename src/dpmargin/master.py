@@ -105,6 +105,13 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
     parameter gamma/3.  The ledger states exactly the guarantee the chosen
     tuner grants: (eps, delta)-DP for the brute-force sweep,
     (eps + delta, delta)-DP for the advanced tuner.
+
+    `dataset.norm_bound` is the public bound b that every row's norm must
+    meet.  It must not depend on the data: the margin grid, c = gamma/3,
+    the sensitivity b/c, k and the JL clip radius all scale with it, so a b
+    read from the rows (such as their largest norm, which `load_dataset`
+    records) lets one row rescale every other and voids the guarantee.
+    Fix b in advance and clip the rows to it (`data.clip_norms`).
     """
     n, d, b = dataset.n, dataset.dim, dataset.norm_bound
     if n < 2:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ._seeding import NGD_NOISE, block_stream, stream
+from ._seeding import NGD_NOISE, BlockReader, block_stream, stream
 from .data import Dataset
 from .errors import DimensionError, ResourceError
 from .loss import hinge_sensitivity
@@ -27,6 +28,7 @@ BETA_OPT = 0.01
 
 _NOISE_BLOCK = 512
 _DEFAULT_T_CAP = 10**7
+_LANE_NUMBERS = 2**13  # the most numbers one lane array may hold
 
 
 def env_int(name: str, default, least: int):
@@ -70,12 +72,86 @@ class SelectionRun(NamedTuple):
 
     The run draws its noise from `_seeding.block_stream(key, index)`, `key`
     being `noise_key` of the selection's seed, and holds its T to `cap`, the
-    iteration cap its selection read once.
+    iteration cap its selection read once.  A run given a `lane` is that
+    lane's member `column`, descended with its lane mates.
     """
 
     key: int
     index: int
     cap: int
+    lane: Lane | None = None
+    column: int = 0
+
+
+class Lane:
+    """Runs of one candidate that `ngd` descends together, `width` columns wide.
+
+    `members` holds the runs' indices in their selection, at most `width`
+    of them, member j in column j; the columns past the members are inert,
+    with zero noise, so a run's bits depend on neither its lane mates nor
+    their number.  The members share their rows, c and schedule.  The
+    first member to reach `ngd` descends the whole lane, reading member j's
+    noise from `block_stream(key, members[j])`; each member then takes a
+    copy of its own column, and the lane drops its weights once every
+    member has (a member that asks again descends it again).  A lock lets
+    members on several threads share a lane.
+    """
+
+    def __init__(self, key: int, members: np.ndarray, width: int):
+        if not 1 <= len(members) <= width:
+            raise ValueError(f"a lane of width {width} cannot hold {len(members)} runs")
+        self.key = key
+        self.members = members
+        self.width = width
+        self._lock = threading.Lock()
+        self._left = len(members)
+        self._descent = None  # (rows, schedule) the lane was descended with
+        self._weights = None  # k x width, until every member has its column
+
+    def column(self, j: int, dataset: Dataset, schedule: tuple) -> np.ndarray:
+        """Member j's weights, for `schedule` = (c, T, sigma, eta, averaging)."""
+        with self._lock:
+            if self._descent is None:
+                self._descent = (dataset, schedule)
+            elif self._descent[1] != schedule or not (
+                    self._descent[0] is dataset or np.array_equal(
+                        self._descent[0].signed_features(), dataset.signed_features())):
+                raise ValueError("the members of a lane must share their rows and schedule")
+            if self._weights is None:
+                self._weights = self._descend(dataset, *schedule)
+            weights = self._weights[:, j].copy()
+            self._left -= 1
+            if self._left <= 0:
+                self._weights = None
+        return weights
+
+    def _descend(self, dataset, c, T, sigma, eta, averaging):
+        reader = BlockReader(self.key, self.members)
+
+        def draw(rows, more):
+            block = np.zeros((self.width, rows, dataset.dim))
+            reader.normals(block, more)
+            return block
+
+        return _feature_descent(dataset.signed_features(), c, T, sigma, eta, averaging,
+                                draw, self.width)
+
+
+def lane_width(n: int, k: int, T: int) -> int:
+    """Columns of a lane of T-step runs on n x k rows.
+
+    1 where the Gram form runs (`_gram_pays`), which descends alone;
+    otherwise the largest power of two that keeps each lane array, the
+    n x W scores and a noise block of min(T, 512) x k x W, within 2^13
+    numbers: 32 at n = 100, k = 20, T = 12.  A lane's arrays are what
+    batching adds to a selection's peak memory: there, widths 64 and 128
+    add 0.7 and 1.1 MB to a 39 MB `train`, against 0.45 MB at 32, and
+    train no measurably faster (2-vCPU x86 host, OpenBLAS, one thread).
+    """
+    if _gram_pays(n, k, T):
+        return 1
+    fit = _LANE_NUMBERS // max(n, min(T, _NOISE_BLOCK) * k)
+    return 1 << max(0, fit.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -181,7 +257,10 @@ def ngd(
     Returns the averaged iterate (1/T) sum_{t<T} w_t or the last iterate w_T
     depending on `mode`.  Deterministic given `seed`.  Each run resolves its
     own schedule (T, sigma, eta) and form, and records the schedule in the
-    model's `provenance.schedule`.
+    model's `provenance.schedule`.  A feature-space `SelectionRun` with a
+    `lane` returns its own column of the lane's descent (`Lane`); its sums
+    then run as matrix products, whose order differs from a lone run's
+    matrix-vector products in the last bits.
 
     Gradient noise is drawn from the run's stream in blocks of at most 512
     rows, none longer than the steps left, so a noisy run draws exactly
@@ -218,9 +297,17 @@ def ngd(
     run = seed if isinstance(seed, SelectionRun) else None
     T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or _NO_OVERRIDES,
                                      run.cap if run else None)
-    descent = _gram_descent if _gram_pays(n, k, T) else _feature_descent
-    rng = block_stream(run.key, run.index) if run else stream(seed, NGD_NOISE)
-    out = descent(dataset, c, T, sigma, eta, mode == "averaged", rng)
+    averaging = mode == "averaged"
+    gram = _gram_pays(n, k, T)
+    if run is not None and run.lane is not None and not gram:
+        out = run.lane.column(run.column, dataset, (c, T, sigma, eta, averaging))
+    else:
+        rng = block_stream(run.key, run.index) if run else stream(seed, NGD_NOISE)
+        if gram:
+            out = _gram_descent(dataset, c, T, sigma, eta, averaging, rng)
+        else:
+            out = _feature_descent(dataset.signed_features(), c, T, sigma, eta, averaging,
+                                   lambda rows, more: rng.standard_normal((1, rows, k)))
     return LinearModel(out, k, Provenance(k=k, schedule=NgdConfig(T=T, sigma=sigma, eta=eta)))
 
 
@@ -243,8 +330,9 @@ def _gram_pays(n: int, k: int, T: int) -> bool:
     return 16 * T * (2 * k - n) > n * k
 
 
-def _feature_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
-    """The descent on w: scores and gradient from S every step.
+def _feature_descent(signed, c, T, sigma, eta, averaging, draw, width=1) -> np.ndarray:
+    """The descent on w of `width` runs at once: scores and gradient from S
+    every step.
 
     With a = 1[S w < c] the active rows, w_t = (eta/c) (p_t - r_t) for the
     pulls p_t = sum_{u<t} S^T a_u and the noise r_t = c sigma sum_{u<t} z_u,
@@ -252,34 +340,42 @@ def _feature_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
     x = p - r, takes r from one cumulative sum per noise block, and scales
     by eta/c once at the end.  Step t scores x_t at its end, for step
     t + 1: S w_0 = 0 is never computed, and neither is S w_T.
+
+    Run j is column j of x, so a step is two matrix products, (n x k)(k x W)
+    and (k x n)(n x W).  `draw(rows, more)` returns a width x rows x k
+    array whose [j] holds run j's next `rows` noise rows, `more` telling
+    whether more blocks follow.  At width 1 every array is a vector, and a
+    step is the two matrix-vector products of a lone run.  Returns w,
+    k x `width` (a k-vector at width 1).
     """
-    signed = dataset.signed_features()
     signed_t = signed.T
     n, k = signed.shape
     scale = eta / c
     limit = c / scale
     noisy = sigma > 0.0
-    pulls = np.zeros(k)
-    x = np.empty(k) if noisy else pulls
-    total = np.zeros(k)  # sum_{t<T} x_t; x_0 = 0
-    scores = np.zeros(n)  # S x_t
-    step = np.empty(k)
-    drift = np.zeros(k)  # r at the start of the block
+    columns = (width,) if width > 1 else ()
+    pulls = np.zeros((k, *columns))
+    x = np.empty_like(pulls) if noisy else pulls
+    total = np.zeros_like(pulls)  # sum_{t<T} x_t; x_0 = 0
+    scores = np.zeros((n, *columns))  # S x_t
+    step = np.empty_like(pulls)
+    drift = np.zeros((width, k))  # r at the start of the block
     for start in range(0, T, _NOISE_BLOCK):
         rows = min(_NOISE_BLOCK, T - start)
         last = rows - 1 if start + rows == T else rows
         if noisy:
-            block = rng.standard_normal((rows, k))
+            block = draw(rows, start + rows < T)
             block *= c * sigma
-            block[0] += drift
-            np.cumsum(block, axis=0, out=block)  # row t is r_{start + t + 1}
-            drift = block[-1]
+            block[:, 0] += drift
+            np.cumsum(block, axis=1, out=block)  # row t is r_{start + t + 1}
+            drift = block[:, -1]
+            noise = block[0] if width == 1 else block.transpose(1, 2, 0)
         for t in range(rows):
             active = (scores < limit).astype(np.float64)  # zero subgradient at the kink
             np.dot(signed_t, active, out=step)
             pulls += step
             if noisy:
-                np.subtract(pulls, block[t], out=x)
+                np.subtract(pulls, noise[t], out=x)
             if t == last:
                 break
             np.dot(signed, x, out=scores)

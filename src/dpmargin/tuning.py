@@ -9,6 +9,7 @@ than empirical risk.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +20,8 @@ from ._seeding import CANDIDATE_PICK, SCORE_NOISE, TNB_RUNS, noise_key, stream
 from ._seeding import child_seed  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .data import Dataset
 from .errors import MissingContextError, ResourceError
-from .optimizer import LinearModel, SelectionRun, iteration_cap, project_rows
+from .optimizer import (LinearModel, Lane, SelectionRun, iteration_cap, lane_width,
+                        project_rows, run_length)
 from .privacy import per_candidate_budget
 from .projection import JlMatrix
 
@@ -115,7 +117,8 @@ def iter_tune(
 
     Run i draws its noise from its own counter block of the seed's noise
     key (`SelectionRun`), so evaluating the runs on any number of worker
-    threads yields identical output.
+    threads yields identical output.  Each candidate is picked once, so
+    each run descends alone, outside any lane.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -178,7 +181,8 @@ def priv_tune(
     """Advanced selector: K ~ dist runs on uniformly drawn candidates.
 
     The run list is the K drawn candidate indices, one integer array; a
-    candidate no draw picks is never projected or run.
+    candidate no draw picks is never projected or run.  A candidate's runs
+    descend together in lanes (`_selection_runs`).
 
     Each run and its Gaussian score release share mu as in a one-candidate
     `per_candidate_budget` split; the end-to-end privacy is reported through
@@ -202,8 +206,9 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
                     base_mu: float, noise_std: float, spec: ScoreSpec, seed: int,
                     threads: int):
     """Run `base` once per entry of `picks`, run i as
-    `base(candidates[picks[i]], base_mu, SelectionRun(key, i, cap))`, and
-    return the (model, candidate) pair with the least noisy score.
+    `base(candidates[picks[i]], base_mu, run)` with `run` the i-th of
+    `_selection_runs`, and return the (model, candidate) pair with the least
+    noisy score.
 
     The score noise is drawn up front, the same draws `noisy_argmin` makes.
     The noise key, `_seeding.noise_key(seed)`, and the iteration cap are
@@ -220,6 +225,11 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     and one never picked not at all.  The candidate returned is the
     caller's own.
 
+    The runs of a candidate picked more than once descend together in lanes
+    of `optimizer.lane_width` columns, read from n, the candidate's k and
+    the T of a run at `base_mu`; a candidate picked once, and any candidate
+    whose runs take the Gram form, runs alone.
+
     Only a run on a non-JL candidate reads the training set's G
     (`Dataset.gram`).  The runs up to the last such pick go first; once
     their models are scored, G is released, and only then do the later runs
@@ -228,19 +238,28 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
     key, cap = noise_key(seed), iteration_cap()
     jl = np.array([isinstance(cand.phi, JlMatrix) for cand in candidates])
+    counts = np.bincount(picks, minlength=len(candidates))
     held = list(candidates)
-    for j in np.flatnonzero(jl & (np.bincount(picks, minlength=len(candidates)) > 1)):
+    for j in np.flatnonzero(jl & (counts > 1)):
         phi = held[j].phi.hold()
         held[j] = Candidate(held[j].gamma, phi, project_rows(phi, dataset))
+    widths = [1] * len(candidates)
+    if counts.max() > 1:
+        T = run_length(dataset.n, base_mu, cap=cap)
+        widths = [lane_width(dataset.n, cand.phi.k, T) if counts[j] > 1 else 1
+                  for j, cand in enumerate(held)]
     gram_runs = np.flatnonzero(~jl[picks])
     cut = int(gram_runs[-1]) + 1 if gram_runs.size else 0
+    runs = _selection_runs(picks, counts, widths, key, cap)
 
-    def run(i):
-        return base(held[picks[i]], base_mu, SelectionRun(key, i, cap))
+    def run(selection_run):
+        return base(held[picks[selection_run.index]], base_mu, selection_run)
 
     best = None
     for part in (range(cut), range(cut, len(picks))):
-        for i, model in enumerate(_run_indexed(run, part, threads), part.start):
+        part_runs = itertools.islice(runs, len(part))
+        for i, model in enumerate(_run_all(run, part_runs, threads if len(part) > 1 else 1),
+                                  part.start):
             noisy = score(model, dataset, spec) + noise[i]
             if best is None or noisy < best[0]:
                 best = (noisy, model, i)
@@ -248,14 +267,50 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     return best[1], candidates[picks[best[2]]]
 
 
-def _run_indexed(fn, indices: range, threads: int):
-    """Yield fn(i) for each i in `indices`, in order.
+def _selection_runs(picks: np.ndarray, counts: np.ndarray, widths: list[int], key: int,
+                    cap: int):
+    """Yield each run's `SelectionRun`, in run order.
+
+    Candidate j's runs, in run order, fill lanes of `widths[j]` columns one
+    after another; its last lane may be part full.  A lane is built when its
+    first member is yielded, so a serial selection, whose lane drops its
+    weights at its last member, holds at most one open lane per candidate.
+    At width 1 a run has no lane and descends alone.
+    """
+    seen = [0] * len(widths)  # runs of each candidate yielded so far
+    lanes = [None] * len(widths)
+    for i, j in enumerate(picks):
+        width = widths[j]
+        if width == 1:
+            yield SelectionRun(key, i, cap)
+            continue
+        column = seen[j] % width
+        if column == 0:
+            lanes[j] = Lane(key, _next_runs(picks, i, j, min(width, counts[j] - seen[j])),
+                            width)
+        seen[j] += 1
+        yield SelectionRun(key, i, cap, lanes[j], column)
+
+
+def _next_runs(picks: np.ndarray, start: int, j: int, count: int) -> np.ndarray:
+    """The first `count` run indices from `start` on that pick candidate j,
+    found in windows that double until they hold `count`."""
+    span = count
+    while True:
+        span *= 2
+        found = np.flatnonzero(picks[start:start + span] == j)
+        if len(found) >= count:
+            return found[:count] + start
+
+
+def _run_all(fn, items, threads: int):
+    """Yield fn(item) for each of `items`, in order.
 
     With a pool, results are handed over as they are consumed.  Closing the
     generator early (the consumer raised) cancels the calls not yet started.
     """
-    if threads <= 1 or len(indices) <= 1:
-        yield from map(fn, indices)
+    if threads <= 1:
+        yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, indices)
+        yield from pool.map(fn, items)

@@ -61,6 +61,13 @@ def make_dataset(features, labels, bound=None):
     return Dataset(feats, np.asarray(labels, dtype=int), bound)
 
 
+def fresh_block(key, index):
+    """A new Philox generator at counter block `index` of the 128-bit `key`,
+    sharing no state with the library's per-thread one."""
+    words = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=words, counter=[0, 0, index, 0]))
+
+
 def random_unit_dataset(rng, n, d, bound=1.0):
     """Random points on the unit sphere with random labels."""
     feats = rng.standard_normal((n, d))

@@ -273,6 +273,44 @@ def test_master_priv_tune_ledger_and_risk():
     assert training_risk(result.model, ds) <= 0.34
 
 
+def test_master_priv_tune_makes_one_jlgd_and_one_ngd_call_per_run(monkeypatch):
+    # a traced benchmark run counts one master.jlgd and one optimizer.ngd
+    # span per base run and sum T = K T steps, lanes or not
+    import dpmargin.optimizer as optimizer
+    from dpmargin._seeding import TNB_RUNS, stream
+    from dpmargin.optimizer import run_length
+    from dpmargin.tuning import TnbDist, sample_tnb
+
+    calls, steps, members = Counter(), [], {}
+    jlgd, ngd = master_mod.jlgd, optimizer.ngd
+
+    def counted_jlgd(*args, **kwargs):
+        calls["jlgd"] += 1
+        return jlgd(*args, **kwargs)
+
+    def counted_ngd(*args, **kwargs):
+        calls["ngd"] += 1
+        run = kwargs["seed"]
+        members[run.lane] = len(run.lane.members)
+        model = ngd(*args, **kwargs)
+        steps.append(model.provenance.schedule.T)
+        return model
+
+    monkeypatch.setattr(master_mod, "jlgd", counted_jlgd)
+    monkeypatch.setattr(optimizer, "ngd", counted_ngd)
+    ds = small_synth(n=40, d=6, gamma=0.4, seed=11)
+    cfg = MasterConfig(epsilon=2.0, delta=1e-6, tuner="priv_tune", seed=5)
+    dp_adaptive_margin(ds, cfg)
+    ledger = budget_ledger(cfg.epsilon, cfg.delta, "priv_tune", len(margin_grid(ds.n)), ds.n)
+    k_runs = sample_tnb(TnbDist(1, ledger["tnb_r"]), stream(cfg.seed, TNB_RUNS))
+    T = run_length(ds.n, ledger["per_run_mu"])
+    assert k_runs > 1000 and T > 1
+    assert calls == {"jlgd": k_runs, "ngd": k_runs}
+    assert len(steps) == k_runs and sum(steps) == k_runs * T
+    # the runs did descend in lanes, a candidate's full ones 128 wide
+    assert max(members.values()) == 128 and sum(members.values()) == k_runs
+
+
 def replay_epsilon(x, n, delta, tuner):
     """An epsilon at which a base run's x = (n mu_run)^2 is `x`: near it for a
     fractional x, exactly in floats for an integer one."""

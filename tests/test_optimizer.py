@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmargin._seeding import NGD_NOISE, stream
+from dpmargin._seeding import NGD_NOISE, noise_key, stream
 from dpmargin.data import Dataset, synth_margin_dataset
 from dpmargin.errors import ResourceError
 from dpmargin.loss import LossSpec, empirical_risk, hinge_sensitivity
@@ -13,17 +13,19 @@ from dpmargin.optimizer import (
     BETA_OPT,
     LinearModel,
     NgdOverrides,
+    Lane,
     Provenance,
     _feature_descent,
     _gram_descent,
     _gram_pays,
     jlgd,
+    lane_width,
     ngd,
     resolve_schedule,
 )
 from dpmargin.projection import IdentityMap, lift, project_and_clip, sample_jl
 
-from conftest import random_unit_dataset
+from conftest import fresh_block, random_unit_dataset
 from oracles import noisy_descent
 
 
@@ -82,12 +84,18 @@ def test_iteration_cap_resource_error(monkeypatch):
 
 # ---------------------------------------------------------------- noise audit
 
-def test_noise_audit_default_is_n_delta():
+@pytest.mark.parametrize("mu", [0.05, 0.0437])
+def test_noise_audit_default_is_delta_sqrt_t_over_mu(mu):
     ds = planted(n=80)
-    schedule = ngd(0.2, ds, mu=0.05, seed=1).provenance.schedule
+    schedule = ngd(0.2, ds, mu=mu, seed=1).provenance.schedule
     delta_sens = hinge_sensitivity(ds.norm_bound, 0.2)
-    assert schedule.T == math.ceil((ds.n * 0.05) ** 2)
-    assert schedule.sigma == ds.n * delta_sens
+    assert schedule.T == math.ceil((ds.n * mu) ** 2)
+    assert schedule.sigma == pytest.approx(delta_sens * math.sqrt(schedule.T) / mu,
+                                           rel=1e-12)
+    if (ds.n * mu) ** 2 == schedule.T:  # x = n mu = 4 an integer: sqrt(T)/mu = n
+        assert schedule.sigma == ds.n * delta_sens
+    else:  # the ceiling raises T, and sigma above n Delta
+        assert schedule.sigma > ds.n * delta_sens
 
 
 def test_noise_audit_t_override_is_sqrt_t_over_mu():
@@ -284,7 +292,9 @@ def test_feature_descent_matches_the_per_step_oracle(T, noisy, averaging):
     c = 0.1
     schedule = ngd(c, ds, mu=0.5, overrides=NgdOverrides(T=T)).provenance.schedule
     sigma = schedule.sigma if noisy else 0.0
-    got = _feature_descent(ds, c, T, sigma, schedule.eta, averaging, stream(8, NGD_NOISE))
+    rng = stream(8, NGD_NOISE)
+    got = _feature_descent(ds.signed_features(), c, T, sigma, schedule.eta, averaging,
+                           lambda rows, more: rng.standard_normal((1, rows, ds.dim)))
     want = noisy_descent(ds.signed_features(), c, T, sigma, schedule.eta, averaging,
                          stream(8, NGD_NOISE))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -301,14 +311,84 @@ def test_both_descent_forms_match_reference(n, k, T, c, averaged, data_seed):
     schedule = ngd(c, ds, mu=0.5, mode=mode, seed=data_seed,
                    overrides=NgdOverrides(T=T)).provenance.schedule
     want = full_block_reference(ds, c, schedule, data_seed)[0 if averaged else 1]
-    for descent in (_feature_descent, _gram_descent):
-        got = descent(ds, c, T, schedule.sigma, schedule.eta, averaged,
-                      stream(data_seed, NGD_NOISE))
-        np.testing.assert_allclose(got, want, rtol=1e-9,
-                                   atol=1e-12 * np.abs(want).max())
+    rng = stream(data_seed, NGD_NOISE)
+    feature = _feature_descent(ds.signed_features(), c, T, schedule.sigma, schedule.eta,
+                               averaged, lambda rows, more: rng.standard_normal((1, rows, k)))
+    got = _gram_descent(ds, c, T, schedule.sigma, schedule.eta, averaged,
+                        stream(data_seed, NGD_NOISE))
+    for out in (feature, got):
+        np.testing.assert_allclose(out, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
     # the Gram form reusing G a equals the loop recomputing it every step
     np.testing.assert_array_equal(
         got, dense_reference_weights(ds, c, schedule, averaged, data_seed))
+
+
+# ---------------------------------------------------------------- lanes
+
+@pytest.mark.parametrize("T", [12, 1100])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("averaging", [True, False])
+def test_lane_columns_match_the_per_step_oracle(T, noisy, averaging):
+    # five runs in a lane of eight, so three columns are inert; T = 1100
+    # spans three noise blocks, each member's stream read across all three
+    ds = planted(n=60, d=5, gamma=0.3, outliers=3, seed=14)
+    c = 0.1
+    schedule = ngd(c, ds, mu=0.5, overrides=NgdOverrides(T=T)).provenance.schedule
+    sigma = schedule.sigma if noisy else 0.0
+    key = noise_key(11)
+    members = np.array([3, 4, 9, 10, 2**40])
+    lane = Lane(key, members, 8)
+    for j, index in enumerate(members):
+        got = lane.column(j, ds, (c, T, sigma, schedule.eta, averaging))
+        want = noisy_descent(ds.signed_features(), c, T, sigma, schedule.eta, averaging,
+                             fresh_block(key, int(index)))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.any(want != 0.0)
+
+
+def test_a_runs_column_bits_do_not_depend_on_its_position_or_mates():
+    # privtune-small's shape (n = 100, k = 20, T = 12, lanes of 32): run 7
+    # alone, first, in the middle and last among other runs gives the same
+    # bytes.  A property of the BLAS, which must give a GEMM column the same
+    # bits at any position; seen with OpenBLAS
+    ds = planted(n=100, d=20, gamma=0.3, outliers=4, seed=21)
+    c = 0.1
+    schedule = ngd(c, ds, mu=0.0346, seed=0).provenance.schedule
+    assert schedule.T == 12 and lane_width(ds.n, ds.dim, schedule.T) == 32
+    key = noise_key(3)
+    others = np.arange(100, 131)
+    columns = []
+    for position, mates in [(0, 0), (0, 31), (13, 31), (31, 31), (5, 9)]:
+        members = np.insert(others[:mates], position, 7)
+        lane = Lane(key, members, 32)
+        columns.append(lane.column(position, ds, (c, 12, schedule.sigma, schedule.eta, True)))
+    assert all(col.tobytes() == columns[0].tobytes() for col in columns)
+    assert np.any(columns[0] != 0.0)
+
+
+def test_lane_members_must_share_rows_and_schedule():
+    ds = planted(n=60, d=5, seed=14)
+    lane = Lane(noise_key(1), np.arange(3), 4)
+    lane.column(0, ds, (0.1, 12, 2.0, 0.01, True))
+    # equal rows in another Dataset are the same rows
+    lane.column(1, planted(n=60, d=5, seed=14), (0.1, 12, 2.0, 0.01, True))
+    with pytest.raises(ValueError, match="share their rows and schedule"):
+        lane.column(2, ds, (0.1, 13, 2.0, 0.01, True))
+    with pytest.raises(ValueError, match="share their rows and schedule"):
+        lane.column(2, planted(n=60, d=5, seed=15), (0.1, 12, 2.0, 0.01, True))
+    with pytest.raises(ValueError, match="cannot hold"):
+        Lane(noise_key(1), np.arange(5), 4)
+
+
+def test_lane_width_is_a_power_of_two_within_the_lane_budget():
+    # privtune-small's shape gets 32; a Gram-form run or rows too wide for
+    # the budget get 1
+    assert lane_width(100, 20, 12) == 32
+    assert lane_width(1500, 3000, 849) == 1 and lane_width(10000, 20, 12) == 1
+    for n, k, T in [(20, 3, 2), (60, 5, 1100), (300, 20, 100), (30, 20, 1)]:
+        width = lane_width(n, k, T)
+        assert width & (width - 1) == 0
+        assert width * max(n, min(T, 512) * k) <= 2**13 < 2 * width * max(n, min(T, 512) * k)
 
 
 # ---------------------------------------------------------------- Gram-form reuse

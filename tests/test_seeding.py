@@ -1,6 +1,7 @@
 """How a seed becomes streams: every bit of the seed counts, only `_seeding`
 builds or moves generators, and a priv-tune selection derives one noise key
-and gives run i that key's counter block i."""
+and gives run i that key's counter block i, which its lane reads in turns
+with its lane mates'."""
 
 import pathlib
 import re
@@ -10,11 +11,15 @@ import numpy as np
 import pytest
 
 import dpmargin
-from dpmargin._seeding import NGD_NOISE, TNB_RUNS, block_stream, noise_key, stream
+from dpmargin._seeding import (NGD_NOISE, TNB_RUNS, BlockReader, block_stream, noise_key,
+                               stream)
 from dpmargin.data import synth_margin_dataset
-from dpmargin.optimizer import SelectionRun, _feature_descent, iteration_cap, jlgd
+from dpmargin.optimizer import Lane, iteration_cap, jlgd, lane_width
 from dpmargin.projection import IdentityMap
 from dpmargin.tuning import Candidate, ScoreSpec, TnbDist, priv_tune, sample_tnb
+
+from conftest import fresh_block
+from oracles import noisy_descent
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1, 2**64 - 1, 2**127 + 3])
@@ -48,6 +53,25 @@ def test_block_zero_of_the_noise_key_is_the_seeds_noise_stream(seed):
     assert again.tobytes() == stream(seed, NGD_NOISE).standard_normal(3).tobytes()
 
 
+def test_block_reader_resumes_each_stream_across_noise_blocks():
+    # three streams read in turns over blocks of 512, 512 and 76 rows, with
+    # another stream moving the thread's generator between the turns
+    key = noise_key(7)
+    blocks = np.array([0, 5, 2**40])
+    reader = BlockReader(key, blocks)
+    parts = []
+    for rows, more in ((512, True), (512, True), (76, False)):
+        out = np.full((4, rows, 3), 9.0)
+        reader.normals(out, more)
+        assert np.all(out[3] == 9.0)  # rows past the blocks are left alone
+        block_stream(key, 99).standard_normal(5)
+        parts.append(out[:3])
+    for j, block in enumerate(blocks):
+        got = np.concatenate([part[j] for part in parts])
+        want = block_stream(key, int(block)).standard_normal((1100, 3))
+        assert got.tobytes() == want.tobytes()
+
+
 def long_selection():
     """A priv-tune selection of 1,000-3,000 two-step noisy descents.
 
@@ -72,46 +96,59 @@ def long_selection():
     return select, ds, seed
 
 
-def rerun(ds, cand, model, rng):
-    """The run's descent again, on the noise stream `rng`."""
+def alone(ds, cand, model, key, index, width):
+    """The run's descent again, alone in a lane of `width` columns."""
     sched = model.provenance.schedule
     assert sched.T == 2 and sched.sigma > 0
-    return _feature_descent(ds, cand.gamma / 3, sched.T, sched.sigma, sched.eta, True, rng)
+    lane = Lane(key, np.array([index]), width)
+    return lane.column(0, ds, (cand.gamma / 3, sched.T, sched.sigma, sched.eta, True))
 
 
 def test_priv_tune_run_seeds_are_pairwise_distinct():
     # run i gets block i of the one key its selection derived, and the cap
-    # its selection read
+    # its selection read; every run descends in a lane of its candidate's
     select, _, seed = long_selection()
     runs = []
     select(1, runs)
     assert 1000 <= len(runs) <= 3000
-    assert [run for _, run, _ in runs] == [SelectionRun(noise_key(seed), i, iteration_cap())
-                                           for i in range(len(runs))]
+    assert [run[:3] for _, run, _ in runs] == [(noise_key(seed), i, iteration_cap())
+                                               for i in range(len(runs))]
+    owner = {}
+    for cand, run, _ in runs:
+        assert run.lane.members[run.column] == run.index
+        assert owner.setdefault(run.lane, cand) is cand  # a lane holds one candidate's runs
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_priv_tune_runs_each_draw_from_a_fresh_noise_stream(threads):
-    # each run draws what a new Philox generator at its key and counter draws
+    # each run follows the per-step descent on what a new Philox generator at
+    # its key and counter draws
     select, ds, _ = long_selection()
     runs = []
     select(threads, runs)
     assert len(runs) >= 1000
     for cand, run, model in runs:
-        words = np.array([run.key & (2**64 - 1), run.key >> 64], dtype=np.uint64)
-        fresh = np.random.Generator(np.random.Philox(key=words, counter=[0, 0, run.index, 0]))
-        assert model.weights.tobytes() == rerun(ds, cand, model, fresh).tobytes()
+        sched = model.provenance.schedule
+        want = noisy_descent(ds.signed_features(), cand.gamma / 3, sched.T, sched.sigma,
+                             sched.eta, True, fresh_block(run.key, run.index))
+        assert np.linalg.norm(model.weights - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_priv_tune_run_weights_rebuild_from_the_seed_and_run_index():
+    # alone in a lane of the width read from the public n, k and T, replayed
+    # in reverse order
     select, ds, seed = long_selection()
     runs = []
     select(2, runs)
     runs.sort(key=lambda entry: entry[1].index)
     assert [run.index for _, run, _ in runs] == list(range(len(runs)))
+    width = lane_width(ds.n, ds.dim, 2)
+    assert width == 256
+    assert {run.lane.width for _, run, _ in runs} == {width}
+    assert max(len(run.lane.members) for _, run, _ in runs) > 1
     for i in reversed(range(len(runs))):
         cand, _, model = runs[i]
-        rebuilt = rerun(ds, cand, model, block_stream(noise_key(seed), i))
+        rebuilt = alone(ds, cand, model, noise_key(seed), i, width)
         assert model.weights.tobytes() == rebuilt.tobytes()
 
 

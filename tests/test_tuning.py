@@ -204,7 +204,7 @@ def test_iter_tune_deterministic_and_thread_invariant():
 
     def base(candidate, mu, seed):
         seeds_seen.setdefault(candidate.gamma, seed)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed[:3])  # the run's key, index and cap
         return LinearModel(rng.standard_normal(ds.dim), ds.dim,
                            Provenance(k=ds.dim))
 
@@ -392,7 +392,7 @@ def test_priv_tune_deterministic():
     ds = planted(seed=15)
 
     def base(candidate, mu, s):
-        rng = np.random.default_rng(s)
+        rng = np.random.default_rng(s[:3])  # the run's key, index and cap
         return LinearModel(rng.standard_normal(ds.dim), ds.dim, Provenance(k=ds.dim))
 
     cands = id_candidates([0.1, 0.3, 0.6], ds.dim)
@@ -466,7 +466,7 @@ def random_model_base(ds):
     """Base whose model depends only on the run seed."""
 
     def base(candidate, mu, s):
-        rng = np.random.default_rng(s)
+        rng = np.random.default_rng(s[:3])  # the run's key, index and cap
         return LinearModel(rng.standard_normal(ds.dim), ds.dim, Provenance(k=ds.dim))
 
     return base
@@ -491,6 +491,33 @@ def test_priv_tune_holds_few_models_at_once():
               ScoreSpec("empirical_zero_one"), seed=seed, threads=1)
     # the running best, the model last scored and the one being built
     assert peak[0] <= 3
+
+
+def test_priv_tune_models_own_their_weights_and_lanes_close_one_at_a_time():
+    # a serial selection holds at most one lane per candidate, and each
+    # model's weights are its own copy, not a view of a lane's buffer
+    ds = planted(n=20, d=3, seed=16)
+    cands = id_candidates([0.2, 0.4, 0.8], ds.dim)
+    dist = TnbDist(1, 1e-3)
+    seed = next(s for s in range(200)
+                if 1000 <= sample_tnb(dist, stream(s, TNB_RUNS)) <= 3000)
+    live = weakref.WeakKeyDictionary()  # lane -> its candidate, while the lane lives
+    lanes, peak, models = [0], [0], []
+
+    def base(candidate, mu, s):
+        if s.lane not in live:
+            live[s.lane] = candidate
+            lanes[0] += 1
+        peak[0] = max(peak[0], max(Counter(live.values()).values()))
+        model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+        models.append(model)
+        if s.column == len(s.lane.members) - 1:  # the lane's last member
+            assert s.lane._weights is None
+        return model
+
+    priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed)
+    assert peak[0] == 1 and 3 <= lanes[0] < len(models) // 10
+    assert all(model.weights.base is None for model in models)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
