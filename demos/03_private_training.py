@@ -8,7 +8,7 @@ from dpmargin import MasterConfig, dp_adaptive_margin, synth_margin_dataset
 from dpmargin.master import training_risk
 
 data, _ = synth_margin_dataset(n=2000, d=15, gamma=0.3, n_outliers=20, seed=3)
-config = MasterConfig(epsilon=2.0, delta=1e-6, seed=42, threads=2)
+config = MasterConfig(epsilon=2.0, delta=1e-6, seed=42)
 result = dp_adaptive_margin(data, config)
 
 print(f"selected margin candidate: {result.gamma_out:g}")

@@ -52,8 +52,8 @@ SYNTH_ORACLE_CAP = 500
 
 _RUN_CONFIG_STRINGS = ("dataset", "format", "out", "tuner", "score", "mode")
 _RUN_CONFIG_NUMBERS = ("epsilon", "delta")
-# MasterConfig checks seed and threads itself
-_RUN_CONFIG_KEYS = {*_RUN_CONFIG_STRINGS, *_RUN_CONFIG_NUMBERS, "seed", "threads"}
+# MasterConfig checks seed itself
+_RUN_CONFIG_KEYS = {*_RUN_CONFIG_STRINGS, *_RUN_CONFIG_NUMBERS, "seed"}
 
 
 def _fail(message: str, code: int, json_errors: bool) -> int:
@@ -106,6 +106,8 @@ def _load_run_config(path) -> dict:
 
 
 def cmd_train(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be an integer >= 1, got {args.threads}")
     if args.config:
         for key, value in _load_run_config(args.config).items():
             if getattr(args, key, None) is None:  # explicit flags win
@@ -132,7 +134,6 @@ def cmd_train(args) -> int:
                                        "last": "last_iterate"}, "--mode"),
         # the noise must stay secret: a drawn seed has 128 bits and is not shown
         seed=secrets.randbits(128) if args.seed is None else args.seed,
-        threads=1 if args.threads is None else args.threads,
     )
     result = dp_adaptive_margin(dataset, cfg)
     text = model_to_json(result, cfg)
@@ -258,11 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise seed, for reproducible tests; the privacy guarantee "
                         "assumes a secret seed, so a published one voids it (default: "
                         "128 bits from system entropy, not shown)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="candidate pool size (default 1). With BLAS on one thread on a "
-                        "2-core host, 2 cut an iterate train at n=4000, d=20 from 13.3 "
-                        "to 11.2 s and slowed a priv-tune train of 28k short runs at "
-                        "n=100 from 3.1 to 9.0 s (medians of 3 pairs)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored (an integer >= 1): every selection runs "
+                        "on the calling thread")
     p.add_argument("--out")
     p.add_argument("--config", help="JSON run config; CLI flags take precedence")
     p.add_argument("--json-errors", action="store_true")

@@ -36,7 +36,6 @@ class MasterConfig:
     score_kind: str = "empirical_zero_one"
     output_mode: str | None = None  # default depends on score kind
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.tuner not in ("iterate", "priv_tune"):
@@ -47,9 +46,6 @@ class MasterConfig:
             raise ValueError(f"unknown output mode {self.output_mode!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if (isinstance(self.threads, bool) or not isinstance(self.threads, int)
-                or self.threads < 1):
-            raise ValueError(f"threads must be an integer >= 1, got {self.threads!r}")
 
     def resolved_mode(self) -> str:
         if self.output_mode is not None:
@@ -135,11 +131,11 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
     run_length(n, ledger["per_candidate_mu" if cfg.tuner == "iterate" else "per_run_mu"])
     if cfg.tuner == "iterate":
         model, winner = iter_tune(base, candidates, dataset, ledger["mu"], spec,
-                                  seed=cfg.seed, threads=cfg.threads)
+                                  seed=cfg.seed)
     else:
         dist = TnbDist(eta=1.0, r=ledger["tnb_r"])
         model, winner = priv_tune(base, candidates, dist, dataset, ledger["mu"], spec,
-                                  seed=cfg.seed, threads=cfg.threads)
+                                  seed=cfg.seed)
     ledger["score_kind"] = cfg.score_kind
     ledger["output_mode"] = mode
     return MasterResult(model=model, gamma_out=winner.gamma, ledger=ledger)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -93,8 +92,8 @@ class Lane:
     first member to reach `ngd` descends the whole lane, reading member j's
     noise from `block_stream(key, members[j])`; each member then takes a
     copy of its own column, and the lane drops its weights once every
-    member has (a member that asks again descends it again).  A lock lets
-    members on several threads share a lane.
+    member has (a member that asks again descends it again).  A lane
+    belongs to one selection, whose runs reach it one at a time.
     """
 
     def __init__(self, key: int, members: np.ndarray, width: int):
@@ -103,26 +102,24 @@ class Lane:
         self.key = key
         self.members = members
         self.width = width
-        self._lock = threading.Lock()
         self._left = len(members)
         self._descent = None  # (rows, schedule) the lane was descended with
         self._weights = None  # k x width, until every member has its column
 
     def column(self, j: int, dataset: Dataset, schedule: tuple) -> np.ndarray:
         """Member j's weights, for `schedule` = (c, T, sigma, eta, averaging)."""
-        with self._lock:
-            if self._descent is None:
-                self._descent = (dataset, schedule)
-            elif self._descent[1] != schedule or not (
-                    self._descent[0] is dataset or np.array_equal(
-                        self._descent[0].signed_features(), dataset.signed_features())):
-                raise ValueError("the members of a lane must share their rows and schedule")
-            if self._weights is None:
-                self._weights = self._descend(dataset, *schedule)
-            weights = self._weights[:, j].copy()
-            self._left -= 1
-            if self._left <= 0:
-                self._weights = None
+        if self._descent is None:
+            self._descent = (dataset, schedule)
+        elif self._descent[1] != schedule or not (
+                self._descent[0] is dataset or np.array_equal(
+                    self._descent[0].signed_features(), dataset.signed_features())):
+            raise ValueError("the members of a lane must share their rows and schedule")
+        if self._weights is None:
+            self._weights = self._descend(dataset, *schedule)
+        weights = self._weights[:, j].copy()
+        self._left -= 1
+        if self._left <= 0:
+            self._weights = None
         return weights
 
     def _descend(self, dataset, c, T, sigma, eta, averaging):

@@ -9,9 +9,7 @@ than empirical risk.
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,22 +107,21 @@ def iter_tune(
     mu: float,
     spec: ScoreSpec,
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[LinearModel, Candidate]:
     """Run `base(candidate, budget, run)` once per candidate at an even
     budget split and return the noisy-score argmin.  Total GDP cost is mu.
     The run list is `np.arange(len(candidates))`: run i reads candidate i.
 
     Run i draws its noise from its own counter block of the seed's noise
-    key (`SelectionRun`), so evaluating the runs on any number of worker
-    threads yields identical output.  Each candidate is picked once, so
+    key (`SelectionRun`), so its model follows from the seed and i alone,
+    whatever thread runs the selection.  Each candidate is picked once, so
     each run descends alone, outside any lane.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
     base_mu, noise_std = per_candidate_budget(mu, len(candidates))
     return _private_select(base, candidates, np.arange(len(candidates)), dataset, base_mu,
-                           noise_std, spec, seed, threads)
+                           noise_std, spec, seed)
 
 
 def sample_tnb(dist: TnbDist, seed, size: int | None = None):
@@ -176,7 +173,6 @@ def priv_tune(
     mu: float,
     spec: ScoreSpec,
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[LinearModel, Candidate]:
     """Advanced selector: K ~ dist runs on uniformly drawn candidates.
 
@@ -198,13 +194,11 @@ def priv_tune(
         )
     picks = stream(seed, CANDIDATE_PICK).integers(0, len(candidates), size=k_runs)
     base_mu, noise_std = per_candidate_budget(mu, 1)
-    return _private_select(base, candidates, picks, dataset, base_mu, noise_std, spec, seed,
-                           threads)
+    return _private_select(base, candidates, picks, dataset, base_mu, noise_std, spec, seed)
 
 
 def _private_select(base, candidates: list[Candidate], picks: np.ndarray, dataset: Dataset,
-                    base_mu: float, noise_std: float, spec: ScoreSpec, seed: int,
-                    threads: int):
+                    base_mu: float, noise_std: float, spec: ScoreSpec, seed: int):
     """Run `base` once per entry of `picks`, run i as
     `base(candidates[picks[i]], base_mu, run)` with `run` the i-th of
     `_selection_runs`, and return the (model, candidate) pair with the least
@@ -214,7 +208,7 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     The noise key, `_seeding.noise_key(seed)`, and the iteration cap are
     read once; run i reads the key from counter block i, so no run hashes a
     seed of its own.  Each model is scored as it arrives.  Only the running
-    minimum is kept, so a serial run holds one model at a time besides the
+    minimum is kept, so the selection holds one model at a time besides the
     best so far; the strict `<` keeps the first index on ties, as
     `noisy_argmin` does.
 
@@ -231,9 +225,8 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     whose runs take the Gram form, runs alone.
 
     Only a run on a non-JL candidate reads the training set's G
-    (`Dataset.gram`).  The runs up to the last such pick go first; once
-    their models are scored, G is released, and only then do the later runs
-    start, so a pool never holds G while a JL run projects.
+    (`Dataset.gram`).  G is released once the last such run's model is
+    scored, so the JL runs after it project without G held.
     """
     noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
     key, cap = noise_key(seed), iteration_cap()
@@ -249,21 +242,16 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
         widths = [lane_width(dataset.n, cand.phi.k, T) if counts[j] > 1 else 1
                   for j, cand in enumerate(held)]
     gram_runs = np.flatnonzero(~jl[picks])
-    cut = int(gram_runs[-1]) + 1 if gram_runs.size else 0
-    runs = _selection_runs(picks, counts, widths, key, cap)
-
-    def run(selection_run):
-        return base(held[picks[selection_run.index]], base_mu, selection_run)
-
+    last_gram = int(gram_runs[-1]) if gram_runs.size else -1
     best = None
-    for part in (range(cut), range(cut, len(picks))):
-        part_runs = itertools.islice(runs, len(part))
-        for i, model in enumerate(_run_all(run, part_runs, threads if len(part) > 1 else 1),
-                                  part.start):
-            noisy = score(model, dataset, spec) + noise[i]
-            if best is None or noisy < best[0]:
-                best = (noisy, model, i)
-        dataset.release_gram()
+    for run in _selection_runs(picks, counts, widths, key, cap):
+        i = run.index
+        model = base(held[picks[i]], base_mu, run)
+        noisy = score(model, dataset, spec) + noise[i]
+        if best is None or noisy < best[0]:
+            best = (noisy, model, i)
+        if i == last_gram:
+            dataset.release_gram()
     return best[1], candidates[picks[best[2]]]
 
 
@@ -273,8 +261,8 @@ def _selection_runs(picks: np.ndarray, counts: np.ndarray, widths: list[int], ke
 
     Candidate j's runs, in run order, fill lanes of `widths[j]` columns one
     after another; its last lane may be part full.  A lane is built when its
-    first member is yielded, so a serial selection, whose lane drops its
-    weights at its last member, holds at most one open lane per candidate.
+    first member is yielded and drops its weights once its last member has
+    its column, so a selection holds at most one open lane per candidate.
     At width 1 a run has no lane and descends alone.
     """
     seen = [0] * len(widths)  # runs of each candidate yielded so far
@@ -301,16 +289,3 @@ def _next_runs(picks: np.ndarray, start: int, j: int, count: int) -> np.ndarray:
         found = np.flatnonzero(picks[start:start + span] == j)
         if len(found) >= count:
             return found[:count] + start
-
-
-def _run_all(fn, items, threads: int):
-    """Yield fn(item) for each of `items`, in order.
-
-    With a pool, results are handed over as they are consumed.  Closing the
-    generator early (the consumer raised) cancels the calls not yet started.
-    """
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, items)

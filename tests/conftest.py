@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,39 @@ def make_dataset(features, labels, bound=None):
     if bound is None:
         bound = float(max(np.linalg.norm(feats, axis=1).max(), 1.0))
     return Dataset(feats, np.asarray(labels, dtype=int), bound)
+
+
+def on_caller_threads(fn, count=2):
+    """[fn() for each of `count` threads], the threads started together, so
+    their calls run at once; an exception raised on a thread is raised here.
+
+    The interpreter switches threads every microsecond meanwhile, so threads
+    running the same selection seldom stay in step, and state they wrongly
+    shared would show in their bits."""
+    results = [None] * count
+    start = threading.Barrier(count)
+
+    def call(slot):
+        start.wait()
+        try:
+            results[slot] = fn()
+        except BaseException as exc:  # re-raised on the calling thread below
+            results[slot] = exc
+
+    threads = [threading.Thread(target=call, args=(slot,)) for slot in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def fresh_block(key, index):

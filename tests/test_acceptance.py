@@ -45,7 +45,7 @@ from dpmargin.tuning import (
     tnb_pmf,
 )
 
-from conftest import random_unit_dataset
+from conftest import on_caller_threads, random_unit_dataset
 
 
 def report(num: int, name: str, ok: bool):
@@ -125,7 +125,7 @@ def end_to_end_risk(job):
     """Training risk of the mechanism on one (outlier count, seed) dataset."""
     n_out, seed = job
     ds, _ = synth_margin_dataset(N_E2E, D_E2E, GAMMA_E2E, n_out, seed=1000 + seed)
-    cfg = MasterConfig(epsilon=EPS_E2E, delta=DELTA_E2E, seed=seed, threads=2)
+    cfg = MasterConfig(epsilon=EPS_E2E, delta=DELTA_E2E, seed=seed)
     result = dp_adaptive_margin(ds, cfg)
     return training_risk(result.model, ds)
 
@@ -251,15 +251,15 @@ def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     ok = True
 
-    # library entry point: identical weights for 1 vs 8 worker threads
+    # library entry point: a serial run and two runs at once on caller
+    # threads sharing the dataset give identical weights
     ds, _ = synth_margin_dataset(600, 8, 0.35, 4, seed=77)
-    results = [
-        dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, seed=5,
-                                            threads=t))
-        for t in (1, 8)
-    ]
-    ok &= bool(np.array_equal(results[0].model.weights, results[1].model.weights))
-    ok &= results[0].gamma_out == results[1].gamma_out
+    cfg = MasterConfig(epsilon=2.0, delta=1e-6, seed=5)
+    results = [dp_adaptive_margin(ds, cfg)]
+    results += on_caller_threads(lambda: dp_adaptive_margin(ds, cfg))
+    for result in results[1:]:
+        ok &= bool(np.array_equal(results[0].model.weights, result.model.weights))
+        ok &= results[0].gamma_out == result.gamma_out
 
     # synth: byte-identical reruns
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -268,7 +268,7 @@ def test_criterion_10_determinism(tmp_path, capsys, monkeypatch):
                          "--outliers", "3", "--seed", "3", "--out", str(path)]) == 0
     ok &= a.read_bytes() == b.read_bytes()
 
-    # train: byte-identical across thread counts
+    # train: byte-identical at any --threads, which is ignored
     models = []
     for threads in ("1", "8"):
         out = tmp_path / f"model{threads}.json"

@@ -1,8 +1,8 @@
 """The benchmark's smoke run still walks every workload's traced code path.
 
-The benchmark wraps functions by their module and name and reads call
-keywords (such as `threads=`); a renamed site otherwise fails only inside a
-benchmark run.
+The benchmark wraps functions by their module and name and reads their
+arguments (such as `ngd`'s dataset); a renamed site otherwise fails only
+inside a benchmark run.
 """
 
 import json

@@ -10,7 +10,6 @@ import pytest
 
 from dpmargin.cli import main
 from dpmargin.data import load_dataset
-from dpmargin.master import MasterConfig
 from dpmargin.privacy import SECRET_SEED
 
 
@@ -151,17 +150,18 @@ def test_train_non_positive_threads_exit_2(tmp_path, capsys, small_dataset, thre
     assert code == 2
     assert "threads" in err
     assert not out.exists()
-    with pytest.raises(ValueError, match="threads"):
-        MasterConfig(epsilon=2.0, delta=1e-6, threads=int(threads))
 
 
-def test_train_config_non_integer_threads_exit_2(tmp_path, capsys, small_dataset):
+def test_train_config_threads_is_an_unknown_key_exit_2(tmp_path, capsys, small_dataset):
     cfg = tmp_path / "run.json"
-    for threads in ("2", True):
+    out = tmp_path / "m.json"
+    for threads in (2, "2", True):
         cfg.write_text(json.dumps({"dataset": str(small_dataset), "epsilon": 2,
-                                   "delta": 1e-6, "seed": 5, "threads": threads}))
+                                   "delta": 1e-6, "seed": 5, "threads": threads,
+                                   "out": str(out)}))
         code, _, err = run(capsys, "train", "--config", str(cfg))
-        assert code == 2 and "threads" in err
+        assert code == 2 and "unknown run-config keys: ['threads']" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [7.9, "7", True])
@@ -515,8 +515,8 @@ import json, sys
 import dpmargin, dpmargin.cli
 
 def heavy():
-    return [name for name in ("scipy.special", "scipy.optimize", "numpy.f2py")
-            if name in sys.modules]
+    return [name for name in ("scipy.special", "scipy.optimize", "numpy.f2py",
+                              "concurrent.futures") if name in sys.modules]
 
 seen = {"import": heavy()}
 seen["train"] = dpmargin.cli.main(["train", "--dataset", sys.argv[1], "--epsilon", "2",
@@ -538,4 +538,5 @@ def test_scipy_special_is_loaded_only_by_synth(tmp_path, small_dataset):
     assert proc.returncode == 0, proc.stderr[-4000:]
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"import": [], "train": [0, []],
-                    "synth": [0, ["scipy.special", "scipy.optimize", "numpy.f2py"]]}
+                    "synth": [0, ["scipy.special", "scipy.optimize", "numpy.f2py",
+                                  "concurrent.futures"]]}

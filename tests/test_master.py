@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -22,7 +23,7 @@ from dpmargin.master import (
 from dpmargin.privacy import budget_ledger
 from dpmargin.projection import BLOCK_ROWS, IdentityMap, JlMatrix
 
-from conftest import make_dataset, random_unit_dataset
+from conftest import make_dataset, on_caller_threads, random_unit_dataset
 
 
 # ---------------------------------------------------------------- margin grid
@@ -90,18 +91,27 @@ def test_master_end_to_end_low_risk():
 
 def test_master_deterministic_across_threads(gram_calls):
     # n = 80 < 2d = 200: every base run of the second shape takes the Gram form,
-    # and its 8 identity runs share the dataset's G.  Each pool size gets a
-    # fresh dataset, so at threads > 1 the first runs build G concurrently.
+    # and its 8 identity runs share the dataset's G.  A serial run on a fresh
+    # dataset comes first; then two caller threads run the same mechanism at
+    # once on one more fresh dataset, so their first runs build G concurrently.
+    cfg = MasterConfig(epsilon=2.0, delta=1e-6, seed=9)
     for shape in (dict(seed=6), dict(n=80, d=100, seed=6)):
-        runs = []
-        for threads in (1, 2, 8):
-            gram_calls.clear()
-            ds = small_synth(**shape)
-            runs.append(dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6,
-                                                            seed=9, threads=threads)))
-            if ds.n < 2 * ds.dim:
-                assert len(gram_calls) == 8 and all(d is ds for d, _ in gram_calls)
-                assert all(g is gram_calls[0][1] for _, g in gram_calls)
+        gram_calls.clear()
+        ds = small_synth(**shape)
+        runs = [dp_adaptive_margin(ds, cfg)]
+        if ds.n < 2 * ds.dim:
+            assert len(gram_calls) == 8 and all(d is ds for d, _ in gram_calls)
+            assert all(g is gram_calls[0][1] for _, g in gram_calls)
+        gram_calls.clear()
+        shared = small_synth(**shape)
+        runs += on_caller_threads(lambda: dp_adaptive_margin(shared, cfg))
+        if ds.n < 2 * ds.dim:
+            # the first thread to finish releases G, and the other may then
+            # build it once more, with the same bits
+            assert len(gram_calls) == 16 and all(d is shared for d, _ in gram_calls)
+            assert len({id(g) for _, g in gram_calls}) <= 2
+            assert all(np.array_equal(g, gram_calls[0][1]) for _, g in gram_calls)
+            assert shared._gram is None
         for run in runs[1:]:
             np.testing.assert_array_equal(runs[0].model.weights, run.model.weights)
             assert runs[0].gamma_out == run.gamma_out
@@ -224,32 +234,39 @@ def test_master_iterate_peak_has_no_jl_matrix_term():
     assert peak < bound
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("callers", [1, 2])
 @pytest.mark.parametrize("tuner", ["iterate", "priv_tune"])
 def test_master_training_gram_lives_from_its_first_to_its_last_reader(
-        gram_calls, monkeypatch, tuner, threads):
+        gram_calls, monkeypatch, tuner, callers):
     import dpmargin.optimizer as optimizer
 
     # iterate: 6 identity runs on the data, then 2 JL runs; priv-tune: 1220
-    # runs on 4 identity and 2 reused JL candidates.  Every run takes the Gram form.
-    ds, seed = ((small_synth(n=80, d=400, seed=6), 9) if tuner == "iterate"
-                else (small_synth(n=20, d=300, gamma=0.4, seed=3), 1))
-    gram_at_projection = []
+    # runs on 4 identity and 2 reused JL candidates.  Every run takes the Gram
+    # form.  Each caller thread trains on a dataset of its own, at once.
+    caller = threading.local()
     original = optimizer.project_and_clip
 
     def spy(phi, dataset, v):
-        gram_at_projection.append(ds._gram)
+        caller.gram_at_projection.append(caller.ds._gram)
         return original(phi, dataset, v)
 
     monkeypatch.setattr(optimizer, "project_and_clip", spy)
-    dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, tuner=tuner, seed=seed,
-                                        threads=threads))
-    grams = [g for d, g in gram_calls if d is ds]
-    assert grams and all(g is grams[0] for g in grams)  # built once
-    assert ds._gram is None  # and released before the mechanism returns
-    assert gram_at_projection
-    if tuner == "iterate":
-        assert gram_at_projection == [None] * len(gram_at_projection)
+
+    def train():
+        ds, seed = ((small_synth(n=80, d=400, seed=6), 9) if tuner == "iterate"
+                    else (small_synth(n=20, d=300, gamma=0.4, seed=3), 1))
+        caller.ds, caller.gram_at_projection = ds, []
+        dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, tuner=tuner,
+                                            seed=seed))
+        return ds, caller.gram_at_projection
+
+    for ds, gram_at_projection in on_caller_threads(train, callers):
+        grams = [g for d, g in gram_calls if d is ds]
+        assert grams and all(g is grams[0] for g in grams)  # built once
+        assert ds._gram is None  # and released before the mechanism returns
+        assert gram_at_projection
+        if tuner == "iterate":
+            assert gram_at_projection == [None] * len(gram_at_projection)
 
 
 def test_master_ledger_composition_exact():

@@ -5,7 +5,6 @@ with its lane mates'."""
 
 import pathlib
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from dpmargin.optimizer import Lane, iteration_cap, jlgd, lane_width
 from dpmargin.projection import IdentityMap
 from dpmargin.tuning import Candidate, ScoreSpec, TnbDist, priv_tune, sample_tnb
 
-from conftest import fresh_block
+from conftest import fresh_block, on_caller_threads
 from oracles import noisy_descent
 
 
@@ -75,15 +74,15 @@ def test_block_reader_resumes_each_stream_across_noise_blocks():
 def long_selection():
     """A priv-tune selection of 1,000-3,000 two-step noisy descents.
 
-    Returns (select, dataset, seed).  `select(threads, runs)` appends each
-    run's (candidate, run, model) to `runs` when given."""
+    Returns (select, dataset, seed).  `select(runs)` appends each run's
+    (candidate, run, model) to `runs` when given."""
     ds = synth_margin_dataset(20, 3, 0.4, 0, seed=16)[0]
     dist = TnbDist(1, 1e-3)
     seed = next(s for s in range(200)
                 if 1000 <= sample_tnb(dist, stream(s, TNB_RUNS)) <= 3000)
     cands = [Candidate(g, IdentityMap(ds.dim)) for g in (0.2, 0.4, 0.8)]
 
-    def select(threads, runs=None):
+    def select(runs=None):
         def base(candidate, mu, run):
             model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=run)
             if runs is not None:
@@ -91,7 +90,7 @@ def long_selection():
             return model
 
         return priv_tune(base, cands, dist, ds, 0.1, ScoreSpec("empirical_zero_one"),
-                         seed=seed, threads=threads)
+                         seed=seed)
 
     return select, ds, seed
 
@@ -109,7 +108,7 @@ def test_priv_tune_run_seeds_are_pairwise_distinct():
     # its selection read; every run descends in a lane of its candidate's
     select, _, seed = long_selection()
     runs = []
-    select(1, runs)
+    select(runs)
     assert 1000 <= len(runs) <= 3000
     assert [run[:3] for _, run, _ in runs] == [(noise_key(seed), i, iteration_cap())
                                                for i in range(len(runs))]
@@ -119,19 +118,25 @@ def test_priv_tune_run_seeds_are_pairwise_distinct():
         assert owner.setdefault(run.lane, cand) is cand  # a lane holds one candidate's runs
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_priv_tune_runs_each_draw_from_a_fresh_noise_stream(threads):
+@pytest.mark.parametrize("callers", [1, 2])
+def test_priv_tune_runs_each_draw_from_a_fresh_noise_stream(callers):
     # each run follows the per-step descent on what a new Philox generator at
-    # its key and counter draws
+    # its key and counter draws, also when caller threads select at once
     select, ds, _ = long_selection()
-    runs = []
-    select(threads, runs)
-    assert len(runs) >= 1000
-    for cand, run, model in runs:
-        sched = model.provenance.schedule
-        want = noisy_descent(ds.signed_features(), cand.gamma / 3, sched.T, sched.sigma,
-                             sched.eta, True, fresh_block(run.key, run.index))
-        assert np.linalg.norm(model.weights - want) <= 1e-12 * np.linalg.norm(want)
+
+    def record():
+        runs = []
+        select(runs)
+        return runs
+
+    for runs in on_caller_threads(record, callers):
+        assert len(runs) >= 1000
+        for cand, run, model in runs:
+            sched = model.provenance.schedule
+            want = noisy_descent(ds.signed_features(), cand.gamma / 3, sched.T,
+                                 sched.sigma, sched.eta, True,
+                                 fresh_block(run.key, run.index))
+            assert np.linalg.norm(model.weights - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_priv_tune_run_weights_rebuild_from_the_seed_and_run_index():
@@ -139,7 +144,7 @@ def test_priv_tune_run_weights_rebuild_from_the_seed_and_run_index():
     # in reverse order
     select, ds, seed = long_selection()
     runs = []
-    select(2, runs)
+    select(runs)
     runs.sort(key=lambda entry: entry[1].index)
     assert [run.index for _, run, _ in runs] == list(range(len(runs)))
     width = lane_width(ds.n, ds.dim, 2)
@@ -155,21 +160,19 @@ def test_priv_tune_run_weights_rebuild_from_the_seed_and_run_index():
 def test_no_two_runs_of_a_selection_share_their_first_draws():
     select, ds, _ = long_selection()
     runs = []
-    select(1, runs)
+    select(runs)
     first = {block_stream(run.key, run.index).standard_normal(ds.dim).tobytes()
              for _, run, _ in runs}
     assert len(first) == len(runs) >= 1000
 
 
 def test_priv_tune_is_bit_identical_across_threads_and_to_fresh_streams():
+    # the same selection on two caller threads at once, each moving its own
+    # thread's generator, against one run alone
     select, _, _ = long_selection()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # more thread switches inside the runs
-    try:
-        runs = [select(threads) for threads in (1, 2, 8)]
-    finally:
-        sys.setswitchinterval(interval)
-    runs.append(select(1))  # a second serial selection in the same process
+    runs = [select()]
+    runs += on_caller_threads(select)  # with frequent thread switches
+    runs.append(select())  # a second serial selection in the same process
     for model, cand in runs[1:]:
         assert cand is runs[0][1]
         assert model.weights.tobytes() == runs[0][0].weights.tobytes()

@@ -33,7 +33,7 @@ from dpmargin.tuning import (
     tnb_pmf,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, on_caller_threads
 
 
 def planted(n=60, d=6, gamma=0.4, seed=0):
@@ -208,12 +208,13 @@ def test_iter_tune_deterministic_and_thread_invariant():
         return LinearModel(rng.standard_normal(ds.dim), ds.dim,
                            Provenance(k=ds.dim))
 
-    one = iter_tune(base, cands, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=3,
-                    threads=1)
-    eight = iter_tune(base, cands, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=3,
-                      threads=8)
-    assert one[1] is eight[1]
-    np.testing.assert_array_equal(one[0].weights, eight[0].weights)
+    def select():
+        return iter_tune(base, cands, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=3)
+
+    one = select()
+    for other in on_caller_threads(select):
+        assert one[1] is other[1]
+        np.testing.assert_array_equal(one[0].weights, other[0].weights)
 
 
 def test_iter_tune_picks_clearly_best_candidate():
@@ -488,7 +489,7 @@ def test_priv_tune_holds_few_models_at_once():
         return model
 
     priv_tune(base, id_candidates([0.2, 0.4, 0.8], ds.dim), dist, ds, 0.5,
-              ScoreSpec("empirical_zero_one"), seed=seed, threads=1)
+              ScoreSpec("empirical_zero_one"), seed=seed)
     # the running best, the model last scored and the one being built
     assert peak[0] <= 3
 
@@ -520,8 +521,8 @@ def test_priv_tune_models_own_their_weights_and_lanes_close_one_at_a_time():
     assert all(model.weights.base is None for model in models)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_streamed_selection_matches_noisy_argmin(threads):
+@pytest.mark.parametrize("callers", [1, 2])
+def test_streamed_selection_matches_noisy_argmin(callers):
     ds = planted(n=40, d=4, seed=17)
     cands = id_candidates([0.1, 0.2, 0.4, 0.8, 1.0], ds.dim)
     spec = ScoreSpec("empirical_zero_one")
@@ -536,116 +537,129 @@ def test_streamed_selection_matches_noisy_argmin(threads):
         pick = noisy_argmin(scores, noise_std, stream(seed, SCORE_NOISE))
         return models[pick], runs[pick]
 
+    def select(seed):
+        # both tuners on each caller thread, which select at once
+        return (iter_tune(base, cands, ds, mu, spec, seed=seed),
+                priv_tune(base, cands, dist, ds, mu, spec, seed=seed))
+
     for seed in range(20):
         k_runs = sample_tnb(dist, stream(seed, TNB_RUNS))
         picks = stream(seed, CANDIDATE_PICK).integers(0, len(cands), size=k_runs)
-        cases = [
-            (iter_tune(base, cands, ds, mu, spec, seed=seed, threads=threads),
-             reference(cands, per_candidate_budget(mu, len(cands))[1], seed)),
-            (priv_tune(base, cands, dist, ds, mu, spec, seed=seed, threads=threads),
-             reference([cands[int(i)] for i in picks],
-                       per_candidate_budget(mu, 1)[1], seed)),
-        ]
-        for (model, cand), (want_model, want_cand) in cases:
-            assert cand is want_cand
-            np.testing.assert_array_equal(model.weights, want_model.weights)
+        want = (reference(cands, per_candidate_budget(mu, len(cands))[1], seed),
+                reference([cands[int(i)] for i in picks],
+                          per_candidate_budget(mu, 1)[1], seed))
+        for got in on_caller_threads(lambda: select(seed), callers):
+            for (model, cand), (want_model, want_cand) in zip(got, want):
+                assert cand is want_cand
+                np.testing.assert_array_equal(model.weights, want_model.weights)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("callers", [1, 2])
 def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
-        threads, jl_generations, monkeypatch):
+        callers, jl_generations, monkeypatch):
     import dpmargin.optimizer as optimizer
 
-    ds = planted(n=40, d=30, seed=20)
-    cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
-             Candidate(0.8, sample_jl(6, 30, seed=2)),
-             Candidate(0.1, IdentityMap(30))]
-    dist = TnbDist(1, 0.2)
-    projected = []
+    # each caller thread selects among candidates of its own, at once, and
+    # reads only the generations and projections of its own matrices
+    caller = threading.local()
     original = optimizer.project_and_clip
 
     def spy(phi, dataset, v):
-        projected.append(phi)
+        caller.projected.append(phi)
         return original(phi, dataset, v)
 
     monkeypatch.setattr(optimizer, "project_and_clip", spy)
+    dist = TnbDist(1, 0.2)
 
     def uses(seed):
         k_runs = sample_tnb(dist, stream(seed, TNB_RUNS))
-        picks = stream(seed, CANDIDATE_PICK).integers(0, len(cands), size=k_runs)
-        return np.bincount(picks, minlength=len(cands))[:2]  # the JL candidates
+        picks = stream(seed, CANDIDATE_PICK).integers(0, 3, size=k_runs)
+        return np.bincount(picks, minlength=3)[:2]  # the JL candidates
+
+    def check(seed):
+        ds = planted(n=40, d=30, seed=20)
+        cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
+                 Candidate(0.8, sample_jl(6, 30, seed=2)),
+                 Candidate(0.1, IdentityMap(30))]
+        reused = [c.phi for c, m in zip(cands, uses(seed)) if m > 1]
+        single = [c.phi for c, m in zip(cands, uses(seed)) if m == 1]
+        unpicked = [c.phi for c, m in zip(cands, uses(seed)) if m == 0]
+        assert len(single + unpicked) == 1
+        caller.projected = []
+        at_first_run = []
+
+        def generated():
+            return [phi for phi in list(jl_generations)
+                    if any(phi is c.phi for c in cands)]
+
+        def base(candidate, mu, s):
+            if not at_first_run:
+                at_first_run.append(generated())
+            return jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+
+        _, picked = priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"),
+                              seed=seed)
+        assert at_first_run == [reused]
+        assert Counter(generated()) == {**{phi: 1 for phi in reused},
+                                        **{phi: 2 for phi in single}}
+        assert not any(phi in unpicked for phi in caller.projected)
+        assert any(picked is c for c in cands)
 
     # one JL candidate runs more than once, the other exactly once, then never
     for other in (1, 0):
         seed = next(s for s in range(200)
                     if sorted(uses(s))[0] == other and max(uses(s)) > 1)
-        reused = [c.phi for c, m in zip(cands, uses(seed)) if m > 1]
-        single = [c.phi for c, m in zip(cands, uses(seed)) if m == 1]
-        unpicked = [c.phi for c, m in zip(cands, uses(seed)) if m == 0]
-        assert len(single + unpicked) == 1
         jl_generations.clear()
-        projected.clear()
-        at_first_run = []
-        lock = threading.Lock()
-
-        def base(candidate, mu, s):
-            with lock:
-                if not at_first_run:
-                    at_first_run.append(list(jl_generations))
-            return jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
-
-        _, picked = priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"),
-                              seed=seed, threads=threads)
-        assert at_first_run == [reused]
-        assert Counter(jl_generations) == {**{phi: 1 for phi in reused},
-                                           **{phi: 2 for phi in single}}
-        assert not any(phi in unpicked for phi in projected)
-        assert any(picked is c for c in cands)
+        on_caller_threads(lambda: check(seed), callers)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_priv_tune_projects_each_reused_jl_candidate_once(threads, monkeypatch):
+@pytest.mark.parametrize("callers", [1, 2])
+def test_priv_tune_projects_each_reused_jl_candidate_once(callers, monkeypatch):
     import dpmargin.optimizer as optimizer
 
-    ds = planted(n=40, d=30, seed=20)
-    cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
-             Candidate(0.8, sample_jl(6, 30, seed=2)),
-             Candidate(0.1, IdentityMap(30))]
     dist = TnbDist(1, 0.2)
     seed = 3  # both JL candidates run more than once
     picks = stream(seed, CANDIDATE_PICK).integers(
-        0, len(cands), size=sample_tnb(dist, stream(seed, TNB_RUNS)))
+        0, 3, size=sample_tnb(dist, stream(seed, TNB_RUNS)))
     assert min(np.bincount(picks, minlength=3)[:2]) > 1
-    projected, runs = [], []
-    lock = threading.Lock()
+    # each caller thread selects among candidates of its own, at once
+    caller = threading.local()
     original = optimizer.project_and_clip
 
     def spy(phi, dataset, v):
-        with lock:
-            projected.append(phi)
+        caller.projected.append(phi)
         return original(phi, dataset, v)
 
-    def base(candidate, mu, s):
-        model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s, low=candidate.rows)
-        with lock:
-            runs.append((candidate, mu, s, model))
-        return model
-
     monkeypatch.setattr(optimizer, "project_and_clip", spy)
-    priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed,
-              threads=threads)
-    assert Counter(projected) == {cands[0].phi: 1, cands[1].phi: 1}
-    held = [run for run in runs if isinstance(run[0].phi, JlMatrix)]
-    assert len(held) == len(picks) - np.count_nonzero(picks == 2)
-    for cand, mu, s, model in held:
-        assert cand.rows is not None
-        streamed = jlgd(JlMatrix(cand.phi.k, cand.phi.d, cand.phi.seed), cand.gamma / 3, ds,
-                        mu, seed=s)
-        assert model.weights.tobytes() == streamed.weights.tobytes()
+
+    def check():
+        ds = planted(n=40, d=30, seed=20)
+        cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
+                 Candidate(0.8, sample_jl(6, 30, seed=2)),
+                 Candidate(0.1, IdentityMap(30))]
+        caller.projected, runs = [], []
+
+        def base(candidate, mu, s):
+            model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s,
+                         low=candidate.rows)
+            runs.append((candidate, mu, s, model))
+            return model
+
+        priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed)
+        assert Counter(caller.projected) == {cands[0].phi: 1, cands[1].phi: 1}
+        held = [run for run in runs if isinstance(run[0].phi, JlMatrix)]
+        assert len(held) == len(picks) - np.count_nonzero(picks == 2)
+        for cand, mu, s, model in held:
+            assert cand.rows is not None
+            streamed = jlgd(JlMatrix(cand.phi.k, cand.phi.d, cand.phi.seed),
+                            cand.gamma / 3, ds, mu, seed=s)
+            assert model.weights.tobytes() == streamed.weights.tobytes()
+
+    on_caller_threads(check, callers)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_streamed_selection_first_index_wins_ties(threads):
+@pytest.mark.parametrize("callers", [1, 2])
+def test_streamed_selection_first_index_wins_ties(callers):
     import dpmargin.tuning as tun
 
     ds = planted(n=30, d=3, seed=18)
@@ -655,12 +669,15 @@ def test_streamed_selection_first_index_wins_ties(threads):
     def base(candidate, mu, s):
         return LinearModel(w, ds.dim, Provenance(k=ds.dim))
 
-    _, picked = tun._private_select(base, cands, np.arange(len(cands)), ds, 0.5, 0.0,
-                                    ScoreSpec("empirical_zero_one"), 0, threads)
-    assert picked is cands[0]
+    def select():
+        return tun._private_select(base, cands, np.arange(len(cands)), ds, 0.5, 0.0,
+                                   ScoreSpec("empirical_zero_one"), 0)
+
+    for _, picked in on_caller_threads(select, callers):
+        assert picked is cands[0]
 
 
-def test_pool_stops_launching_runs_when_scoring_fails():
+def test_selection_stops_at_the_first_failing_score():
     ds = planted(n=20, d=3, seed=19)
     cands = id_candidates([0.1] * 400, ds.dim)
     calls = []
@@ -670,6 +687,5 @@ def test_pool_stops_launching_runs_when_scoring_fails():
         return LinearModel(np.ones(ds.dim), ds.dim)  # no k: penalized score fails
 
     with pytest.raises(MissingContextError):
-        iter_tune(base, cands, ds, 0.5, ScoreSpec("penalized_population"), seed=0,
-                  threads=2)
-    assert len(calls) < len(cands)
+        iter_tune(base, cands, ds, 0.5, ScoreSpec("penalized_population"), seed=0)
+    assert len(calls) == 1
