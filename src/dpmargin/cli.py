@@ -121,7 +121,7 @@ def cmd_train(args) -> int:
         except KeyError:
             raise ValueError(f"invalid {flag} value {value!r}") from None
 
-    dataset = load_dataset(args.dataset, args.format or "csv")
+    data_format = mapped(args.format or "csv", {"csv": "csv", "libsvm": "libsvm"}, "--format")
     cfg = MasterConfig(
         epsilon=float(args.epsilon),
         delta=float(args.delta),
@@ -135,6 +135,7 @@ def cmd_train(args) -> int:
         # the noise must stay secret: a drawn seed has 128 bits and is not shown
         seed=secrets.randbits(128) if args.seed is None else args.seed,
     )
+    dataset = load_dataset(args.dataset, data_format)
     result = dp_adaptive_margin(dataset, cfg)
     text = model_to_json(result, cfg)
     if args.out:

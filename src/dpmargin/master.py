@@ -5,8 +5,9 @@ quantities n, d and the norm bound.  Each projection is fixed by its
 (k, d, seed), the seed drawn from (master seed, candidate index), before the
 optimizer ever reads a feature.  A base run generates its entries from those
 one block of rows at a time, to project and again to lift; the tuner holds a
-whole matrix, with the rows it projects, only for a candidate it runs more
-than once, and releases the dataset's Gram matrix after its last reader.
+whole matrix, with the rows it projects, only while it runs a candidate
+picked more than once, and releases the dataset's Gram matrix after its
+last reader.
 """
 
 from __future__ import annotations

@@ -72,7 +72,9 @@ class SelectionRun(NamedTuple):
     The run draws its noise from `_seeding.block_stream(key, index)`, `key`
     being `noise_key` of the selection's seed, and holds its T to `cap`, the
     iteration cap its selection read once.  A run given a `lane` is that
-    lane's member `column`, descended with its lane mates.
+    lane's member `column`, descended with its lane mates.  Its bits follow
+    from key, index and the lane's width alone, so a selection may run its
+    runs in any order.
     """
 
     key: int
@@ -90,10 +92,9 @@ class Lane:
     with zero noise, so a run's bits depend on neither its lane mates nor
     their number.  The members share their rows, c and schedule.  The
     first member to reach `ngd` descends the whole lane, reading member j's
-    noise from `block_stream(key, members[j])`; each member then takes a
-    copy of its own column, and the lane drops its weights once every
-    member has (a member that asks again descends it again).  A lane
-    belongs to one selection, whose runs reach it one at a time.
+    noise from `block_stream(key, members[j])`, and each member then takes a
+    copy of its own column.  The lane keeps its weights until it is
+    dropped; its selection drops it before the next lane begins.
     """
 
     def __init__(self, key: int, members: np.ndarray, width: int):
@@ -102,9 +103,8 @@ class Lane:
         self.key = key
         self.members = members
         self.width = width
-        self._left = len(members)
         self._descent = None  # (rows, schedule) the lane was descended with
-        self._weights = None  # k x width, until every member has its column
+        self._weights = None  # k x width, once the first member asks
 
     def column(self, j: int, dataset: Dataset, schedule: tuple) -> np.ndarray:
         """Member j's weights, for `schedule` = (c, T, sigma, eta, averaging)."""
@@ -116,11 +116,7 @@ class Lane:
             raise ValueError("the members of a lane must share their rows and schedule")
         if self._weights is None:
             self._weights = self._descend(dataset, *schedule)
-        weights = self._weights[:, j].copy()
-        self._left -= 1
-        if self._left <= 0:
-            self._weights = None
-        return weights
+        return self._weights[:, j].copy()
 
     def _descend(self, dataset, c, T, sigma, eta, averaging):
         reader = BlockReader(self.key, self.members)

@@ -10,7 +10,7 @@ than empirical risk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -177,8 +177,9 @@ def priv_tune(
     """Advanced selector: K ~ dist runs on uniformly drawn candidates.
 
     The run list is the K drawn candidate indices, one integer array; a
-    candidate no draw picks is never projected or run.  A candidate's runs
-    descend together in lanes (`_selection_runs`).
+    candidate no draw picks is never projected or run.  The picked
+    candidates run one at a time, each its runs together in lanes
+    (`_private_select`).
 
     Each run and its Gaussian score release share mu as in a one-candidate
     `per_candidate_budget` split; the end-to-end privacy is reported through
@@ -200,92 +201,58 @@ def priv_tune(
 def _private_select(base, candidates: list[Candidate], picks: np.ndarray, dataset: Dataset,
                     base_mu: float, noise_std: float, spec: ScoreSpec, seed: int):
     """Run `base` once per entry of `picks`, run i as
-    `base(candidates[picks[i]], base_mu, run)` with `run` the i-th of
-    `_selection_runs`, and return the (model, candidate) pair with the least
-    noisy score.
+    `base(candidates[picks[i]], base_mu, run)` with `run` a `SelectionRun`
+    of index i, and return the (model, candidate) pair with the least noisy
+    score.
 
     The score noise is drawn up front, the same draws `noisy_argmin` makes.
     The noise key, `_seeding.noise_key(seed)`, and the iteration cap are
-    read once; run i reads the key from counter block i, so no run hashes a
-    seed of its own.  Each model is scored as it arrives.  Only the running
-    minimum is kept, so the selection holds one model at a time besides the
-    best so far; the strict `<` keeps the first index on ties, as
-    `noisy_argmin` does.
+    read once; run i reads the key from counter block i, so its model does
+    not depend on when it runs.  The picked candidates run one at a time in
+    index order, each its runs in index order.  Each model is scored as it
+    arrives and only the best so far is kept, by (noisy score, run index),
+    so the first index wins ties, as in `noisy_argmin`.
 
-    Everything else is read from `picks`.  A JL candidate picked more than
-    once has its matrix generated and its rows projected once, before the
-    first run, and both held (`JlMatrix.hold`, `Candidate.rows`) until the
-    selection ends; one picked once is generated and projected by its run,
-    and one never picked not at all.  The candidate returned is the
-    caller's own.
+    A candidate's run indices split into consecutive lanes of
+    `optimizer.lane_width` columns, read from n, its k and the T of a run at
+    `base_mu`; each lane is dropped when the next begins.  A candidate
+    picked once, and any whose runs take the Gram form, runs alone.  A JL
+    candidate picked more than once has its matrix generated and its rows
+    projected at the start of its runs, and both held (`JlMatrix.hold`,
+    `Candidate.rows`) until they end; one picked once is generated and
+    projected by its run.  The candidate returned is the caller's own.
 
-    The runs of a candidate picked more than once descend together in lanes
-    of `optimizer.lane_width` columns, read from n, the candidate's k and
-    the T of a run at `base_mu`; a candidate picked once, and any candidate
-    whose runs take the Gram form, runs alone.
-
-    Only a run on a non-JL candidate reads the training set's G
-    (`Dataset.gram`).  G is released once the last such run's model is
-    scored, so the JL runs after it project without G held.
+    Only runs on non-JL candidates read the training set's G
+    (`Dataset.gram`).  G is released after the last picked such candidate,
+    so the JL runs after it project without G held, and again however the
+    selection ends.
     """
     noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
     key, cap = noise_key(seed), iteration_cap()
-    jl = np.array([isinstance(cand.phi, JlMatrix) for cand in candidates])
-    counts = np.bincount(picks, minlength=len(candidates))
-    held = list(candidates)
-    for j in np.flatnonzero(jl & (counts > 1)):
-        phi = held[j].phi.hold()
-        held[j] = Candidate(held[j].gamma, phi, project_rows(phi, dataset))
-    widths = [1] * len(candidates)
-    if counts.max() > 1:
-        T = run_length(dataset.n, base_mu, cap=cap)
-        widths = [lane_width(dataset.n, cand.phi.k, T) if counts[j] > 1 else 1
-                  for j, cand in enumerate(held)]
-    gram_runs = np.flatnonzero(~jl[picks])
-    last_gram = int(gram_runs[-1]) if gram_runs.size else -1
-    best = None
-    for run in _selection_runs(picks, counts, widths, key, cap):
-        i = run.index
-        model = base(held[picks[i]], base_mu, run)
-        noisy = score(model, dataset, spec) + noise[i]
-        if best is None or noisy < best[0]:
-            best = (noisy, model, i)
-        if i == last_gram:
-            dataset.release_gram()
-    return best[1], candidates[picks[best[2]]]
-
-
-def _selection_runs(picks: np.ndarray, counts: np.ndarray, widths: list[int], key: int,
-                    cap: int):
-    """Yield each run's `SelectionRun`, in run order.
-
-    Candidate j's runs, in run order, fill lanes of `widths[j]` columns one
-    after another; its last lane may be part full.  A lane is built when its
-    first member is yielded and drops its weights once its last member has
-    its column, so a selection holds at most one open lane per candidate.
-    At width 1 a run has no lane and descends alone.
-    """
-    seen = [0] * len(widths)  # runs of each candidate yielded so far
-    lanes = [None] * len(widths)
-    for i, j in enumerate(picks):
-        width = widths[j]
-        if width == 1:
-            yield SelectionRun(key, i, cap)
-            continue
-        column = seen[j] % width
-        if column == 0:
-            lanes[j] = Lane(key, _next_runs(picks, i, j, min(width, counts[j] - seen[j])),
-                            width)
-        seen[j] += 1
-        yield SelectionRun(key, i, cap, lanes[j], column)
-
-
-def _next_runs(picks: np.ndarray, start: int, j: int, count: int) -> np.ndarray:
-    """The first `count` run indices from `start` on that pick candidate j,
-    found in windows that double until they hold `count`."""
-    span = count
-    while True:
-        span *= 2
-        found = np.flatnonzero(picks[start:start + span] == j)
-        if len(found) >= count:
-            return found[:count] + start
+    chosen = np.flatnonzero(np.bincount(picks))  # np.unique would import numpy.ma
+    last_gram = max((j for j in chosen if not isinstance(candidates[j].phi, JlMatrix)),
+                    default=-1)
+    best = None  # (noisy score, run index, model)
+    try:
+        for j in chosen:
+            # drop the last candidate's held rows and lane before projecting
+            cand, lane, runs = candidates[j], None, np.flatnonzero(picks == j)
+            width = 1
+            if len(runs) > 1:
+                T = run_length(dataset.n, base_mu, cap=cap)
+                width = lane_width(dataset.n, cand.phi.k, T)
+                if isinstance(cand.phi, JlMatrix):
+                    cand = replace(cand, phi=cand.phi.hold())
+                    cand = replace(cand, rows=project_rows(cand.phi, dataset))
+            for members in np.split(runs, range(width, len(runs), width)):
+                lane = Lane(key, members, width) if width > 1 else None
+                for column, i in enumerate(members.tolist()):
+                    model = base(cand, base_mu, SelectionRun(key, i, cap, lane, column))
+                    noisy = score(model, dataset, spec) + noise[i]
+                    if best is None or (noisy, i) < best[:2]:
+                        best = (noisy, i, model)
+            if j == last_gram:
+                dataset.release_gram()
+    finally:
+        dataset.release_gram()
+    return best[2], candidates[picks[best[1]]]

@@ -178,7 +178,7 @@ def test_train_config_non_integer_seed_exit_2(tmp_path, capsys, small_dataset, s
 @pytest.mark.parametrize("key,value", [
     ("out", 1), ("dataset", 5), ("tuner", ["iterate"]), ("format", None),
     ("score", 1.0), ("mode", True), ("epsilon", "2"), ("delta", True),
-    ("epsilon", [2]),
+    ("epsilon", [2]), ("format", "xml"),
 ])
 def test_train_config_mistyped_value_exit_2(tmp_path, capsys, small_dataset, monkeypatch,
                                             key, value):

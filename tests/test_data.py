@@ -1,4 +1,5 @@
 import math
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -84,6 +85,23 @@ def test_save_load_round_trip(tmp_path):
     back = load_dataset(path, "csv")
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+def test_gram_and_its_release_wait_for_the_gram_lock():
+    # G is built and dropped under data._GRAM_LOCK, so selections sharing a
+    # dataset on caller threads never build it twice at once or drop it mid-build
+    import dpmargin.data as data
+
+    ds = make_dataset([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [1, -1, 1])
+    for call, built in ((ds.gram, True), (ds.release_gram, False)):
+        worker = threading.Thread(target=call)
+        with data._GRAM_LOCK:
+            worker.start()
+            worker.join(timeout=0.2)
+            assert worker.is_alive()  # blocked on the lock the test holds
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert (ds._gram is not None) == built
 
 
 # ---------------------------------------------------------------- clipping

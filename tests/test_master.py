@@ -264,9 +264,9 @@ def test_master_training_gram_lives_from_its_first_to_its_last_reader(
         grams = [g for d, g in gram_calls if d is ds]
         assert grams and all(g is grams[0] for g in grams)  # built once
         assert ds._gram is None  # and released before the mechanism returns
-        assert gram_at_projection
-        if tuner == "iterate":
-            assert gram_at_projection == [None] * len(gram_at_projection)
+        # the identity candidates come first, so every JL projection follows
+        # G's release
+        assert gram_at_projection and all(g is None for g in gram_at_projection)
 
 
 def test_master_ledger_composition_exact():

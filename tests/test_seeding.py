@@ -105,11 +105,13 @@ def alone(ds, cand, model, key, index, width):
 
 def test_priv_tune_run_seeds_are_pairwise_distinct():
     # run i gets block i of the one key its selection derived, and the cap
-    # its selection read; every run descends in a lane of its candidate's
+    # its selection read, whenever it runs; every run descends in a lane of
+    # its candidate's
     select, _, seed = long_selection()
     runs = []
     select(runs)
     assert 1000 <= len(runs) <= 3000
+    runs.sort(key=lambda entry: entry[1].index)
     assert [run[:3] for _, run, _ in runs] == [(noise_key(seed), i, iteration_cap())
                                                for i in range(len(runs))]
     owner = {}

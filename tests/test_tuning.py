@@ -495,25 +495,23 @@ def test_priv_tune_holds_few_models_at_once():
 
 
 def test_priv_tune_models_own_their_weights_and_lanes_close_one_at_a_time():
-    # a serial selection holds at most one lane per candidate, and each
-    # model's weights are its own copy, not a view of a lane's buffer
+    # a serial selection holds at most one lane at a time, and each model's
+    # weights are its own copy, not a view of a lane's buffer
     ds = planted(n=20, d=3, seed=16)
     cands = id_candidates([0.2, 0.4, 0.8], ds.dim)
     dist = TnbDist(1, 1e-3)
     seed = next(s for s in range(200)
                 if 1000 <= sample_tnb(dist, stream(s, TNB_RUNS)) <= 3000)
-    live = weakref.WeakKeyDictionary()  # lane -> its candidate, while the lane lives
+    live = weakref.WeakSet()  # the lanes alive
     lanes, peak, models = [0], [0], []
 
     def base(candidate, mu, s):
         if s.lane not in live:
-            live[s.lane] = candidate
+            live.add(s.lane)
             lanes[0] += 1
-        peak[0] = max(peak[0], max(Counter(live.values()).values()))
+        peak[0] = max(peak[0], len(live))
         model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
         models.append(model)
-        if s.column == len(s.lane.members) - 1:  # the lane's last member
-            assert s.lane._weights is None
         return model
 
     priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed)
@@ -586,20 +584,29 @@ def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
         unpicked = [c.phi for c, m in zip(cands, uses(seed)) if m == 0]
         assert len(single + unpicked) == 1
         caller.projected = []
-        at_first_run = []
+        at_first_run = {}  # gamma -> the generations when its first run began
 
         def generated():
             return [phi for phi in list(jl_generations)
                     if any(phi is c.phi for c in cands)]
 
         def base(candidate, mu, s):
-            if not at_first_run:
-                at_first_run.append(generated())
+            if candidate.gamma not in at_first_run:
+                at_first_run[candidate.gamma] = generated()
             return jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
 
         _, picked = priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"),
                               seed=seed)
-        assert at_first_run == [reused]
+        # the candidates run in index order: a reused matrix is generated
+        # once, just before its candidate's first run, and a single-run one
+        # twice by its run (to project and to lift)
+        want, before = {}, []
+        for c, m in zip(cands, uses(seed)):
+            before += [c.phi] if m > 1 else []
+            if m:
+                want[c.gamma] = list(before)
+            before += [c.phi, c.phi] if m == 1 else []
+        assert {g: at_first_run[g] for g in want} == want
         assert Counter(generated()) == {**{phi: 1 for phi in reused},
                                         **{phi: 2 for phi in single}}
         assert not any(phi in unpicked for phi in caller.projected)
@@ -611,6 +618,75 @@ def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
                     if sorted(uses(s))[0] == other and max(uses(s)) > 1)
         jl_generations.clear()
         on_caller_threads(lambda: check(seed), callers)
+
+
+def test_priv_tune_holds_one_jl_candidate_at_a_time_and_no_gram_in_its_runs(monkeypatch):
+    import dpmargin.optimizer as optimizer
+
+    # identity runs in the Gram form build the training set's G; the JL
+    # candidates after them, each run several times in lanes, hold their
+    # matrix and rows one at a time, also while the next one projects, with
+    # G already released
+    ds = planted(n=40, d=30, seed=20)
+    cands = [Candidate(0.1, IdentityMap(30)),
+             Candidate(0.4, sample_jl(10, 30, seed=1)),
+             Candidate(0.8, sample_jl(6, 30, seed=2))]
+    dist = TnbDist(1, 0.05)
+
+    def uses(seed):
+        k_runs = sample_tnb(dist, stream(seed, TNB_RUNS))
+        return np.bincount(stream(seed, CANDIDATE_PICK).integers(0, 3, size=k_runs),
+                           minlength=3)
+
+    seed = next(s for s in range(200) if uses(s).min() > 1)
+    # id -> object, while it lives (datasets are unhashable)
+    held_phi, held_rows = weakref.WeakValueDictionary(), weakref.WeakValueDictionary()
+    peak, grams, jl_grams, jl_lanes = [0, 0], [], [], []
+    original = optimizer.project_and_clip
+
+    def spy(phi, dataset, v):
+        peak[1] = max(peak[1], len(held_rows) + 1)  # the rows being projected
+        return original(phi, dataset, v)
+
+    monkeypatch.setattr(optimizer, "project_and_clip", spy)
+
+    def base(candidate, mu, s):
+        if candidate.rows is not None:
+            held_phi[id(candidate.phi)] = candidate.phi
+            held_rows[id(candidate.rows)] = candidate.rows
+            jl_grams.append(ds._gram)
+            jl_lanes.append(s.lane is not None)  # not the lane: it holds the rows
+        peak[:] = max(peak[0], len(held_phi)), max(peak[1], len(held_rows))
+        model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s, low=candidate.rows)
+        if candidate.rows is None:
+            grams.append(ds._gram)
+        return model
+
+    priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed)
+    assert grams[0] is not None and all(g is grams[0] for g in grams)  # one shared G
+    assert len(jl_grams) == uses(seed)[1:].sum() and all(g is None for g in jl_grams)
+    assert all(jl_lanes)
+    assert peak == [1, 1] and ds._gram is None
+
+
+def test_iter_tune_releases_gram_when_a_run_fails():
+    # three identity candidates in the Gram form (T = 6,667): the first run
+    # builds G, the second raises, and G must not stay on the dataset
+    ds = synth_margin_dataset(40, 60, 0.3, 0, seed=1)[0]
+    calls = []
+
+    def base(candidate, mu, s):
+        calls.append(s)
+        if len(calls) == 2:
+            raise RuntimeError("second run fails")
+        model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+        assert model.provenance.schedule.T == 6667 and ds._gram is not None
+        return model
+
+    with pytest.raises(RuntimeError, match="second run fails"):
+        iter_tune(base, id_candidates([0.2, 0.4, 0.8], ds.dim), ds, 5.0,
+                  ScoreSpec("empirical_zero_one"), seed=0)
+    assert len(calls) == 2 and ds._gram is None
 
 
 @pytest.mark.parametrize("callers", [1, 2])
