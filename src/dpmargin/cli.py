@@ -6,9 +6,10 @@ system entropy.  `synth` and `margin-curve` release nothing private, so they
 print the seed they draw.  `train` draws a 128-bit seed and prints nothing of
 it: its privacy guarantee assumes the noise seed is secret, so --seed is for
 reproducible tests, and publishing a seed voids the guarantee; the budget
-ledger states that assumption (`secret_seed`).  `train` also prints the
-model's noiseless training risk, which no ledger covers: that line is
-released outside the guarantee, and says so.  The
+ledger states that assumption (`secret_seed`).  `train` maps every nonzero
+row to unit norm before training, and `eval` scores the rows so mapped.
+`train` also prints the model's noiseless training risk, which no ledger
+covers: that line is released outside the guarantee, and says so.  The
 environment variables SOURCE_DATE_EPOCH and DPMARGIN_T_CAP are checked before
 any command reads or writes data.
 """
@@ -135,7 +136,7 @@ def cmd_train(args) -> int:
         # the noise must stay secret: a drawn seed has 128 bits and is not shown
         seed=secrets.randbits(128) if args.seed is None else args.seed,
     )
-    dataset = load_dataset(args.dataset, data_format)
+    dataset = normalize_points(load_dataset(args.dataset, data_format))  # b = 1, whatever the rows
     result = dp_adaptive_margin(dataset, cfg)
     text = model_to_json(result, cfg)
     if args.out:
@@ -152,7 +153,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model, doc = model_from_json(fh.read())
-    dataset = load_dataset(args.dataset, args.format or "csv")
+    dataset = normalize_points(load_dataset(args.dataset, args.format or "csv"))  # as trained
     zo = empirical_risk(model.weights, dataset, LossSpec("zero_one"))
     print(f"averaged zero-one risk: {zo:.6f}")
     gamma = doc.get("gamma_out")
@@ -248,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-errors", action="store_true")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="run the adaptive-margin private trainer")
+    p = sub.add_parser("train", help="run the adaptive-margin private trainer",
+                       description="Every nonzero row x is normalised to x/||x|| before "
+                                   "training, so no row sets the scale of the others.")
     p.add_argument("--dataset")
     p.add_argument("--format", choices=["csv", "libsvm"])
     p.add_argument("--epsilon", type=float)

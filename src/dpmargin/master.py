@@ -3,11 +3,12 @@
 The only data-dependent inputs to candidate construction are the public
 quantities n, d and the norm bound.  Each projection is fixed by its
 (k, d, seed), the seed drawn from (master seed, candidate index), before the
-optimizer ever reads a feature.  A base run generates its entries from those
-one block of rows at a time, to project and again to lift; the tuner holds a
-whole matrix, with the rows it projects, only while it runs a candidate
-picked more than once, and releases the dataset's Gram matrix after its
-last reader.
+optimizer ever reads a feature.  The tuner generates a picked candidate's
+entries from those one block of rows at a time to project the training
+rows once, every run of that candidate descends and is scored on the
+projected rows, and the entries are generated once more only to lift the
+winner's weights back to d.  No whole matrix is held, and the tuner
+releases the dataset's Gram matrix after its last reader.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
 
     def base(candidate: Candidate, mu_run: float, run: SelectionRun) -> LinearModel:
         # gamma/3 is the margin-preservation target; hard-wired in master mode.
-        return jlgd(candidate.phi, candidate.gamma / 3.0, dataset, mu_run,
-                    mode=mode, seed=run, low=candidate.rows)
+        return jlgd(candidate.phi, candidate.gamma / 3.0, candidate.rows, mu_run,
+                    mode=mode, seed=run)
 
     ledger = budget_ledger(cfg.epsilon, cfg.delta, cfg.tuner, grid_size, n)
     # every run's T follows from n and the per-run budget: refuse one above

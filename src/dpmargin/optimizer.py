@@ -436,39 +436,37 @@ def _gram_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
 
 
 def project_rows(phi, dataset: Dataset) -> Dataset:
-    """The rows `jlgd` descends on: `dataset` projected by phi and clipped
-    at twice its norm bound."""
+    """The rows a JL candidate's runs descend on: `dataset` projected by phi
+    and clipped at twice its norm bound."""
     return project_and_clip(phi, dataset, dataset.norm_bound)
 
 
 def jlgd(
     phi,
     c: float,
-    dataset: Dataset,
+    low: Dataset,
     mu: float,
     mode: str = "averaged",
-    seed: int = 0,
+    seed: int | SelectionRun = 0,
     overrides: NgdOverrides | None = None,
-    low: Dataset | None = None,
 ) -> LinearModel:
-    """Project-and-clip, run ngd in k dimensions, lift the weights back.
+    """Run ngd on `low`, the rows in phi's k dimensions, and record phi's seed.
 
-    The reference-point norm is 1: the analysis anchor is the normalized
-    max-margin separator, which the algorithm never needs explicitly.  A
-    JL matrix that is not held (`JlMatrix.hold`) is generated twice, a block
-    at a time, once to project and once to lift.  `low`, when given, is
-    `project_rows(phi, dataset)` held by a caller that runs phi many times;
-    the run then skips the projection.
+    `low` is `project_rows(phi, dataset)` for a JL matrix and the dataset
+    itself for the identity map, whose model is returned as `ngd` built it.
+    `lift_model` takes a JL model back to d.  The reference-point norm is 1:
+    the analysis anchor is the normalized max-margin separator, which the
+    algorithm never needs explicitly.
     """
-    if phi.d != dataset.dim:
-        raise DimensionError(f"projection expects d={phi.d}, dataset has {dataset.dim}")
-    if isinstance(phi, IdentityMap):
-        # no projection: norms already within the original ball, and ngd's
-        # model already records k = d and no JL seed
-        return ngd(c, dataset, mu, mode=mode, seed=seed, overrides=overrides)
-    if low is None:
-        low = project_rows(phi, dataset)
-    model_k = ngd(c, low, mu, mode=mode, seed=seed, overrides=overrides)
-    del low  # unless the caller holds them, the n x k rows and their G go before the lift
-    prov = replace(model_k.provenance, jl_seed=phi.seed)
-    return LinearModel(lift(phi, model_k.weights), dataset.dim, prov)
+    if low.dim != phi.k:
+        raise DimensionError(f"rows have dim {low.dim}, projection k={phi.k}")
+    model = ngd(c, low, mu, mode=mode, seed=seed, overrides=overrides)
+    if isinstance(phi, IdentityMap):  # ngd's model already records k = d and no seed
+        return model
+    return replace(model, provenance=replace(model.provenance, jl_seed=phi.seed))
+
+
+def lift_model(phi, model: LinearModel) -> LinearModel:
+    """A model descended on `project_rows(phi, ...)`, with its weights lifted
+    back to phi's d dimensions."""
+    return LinearModel(lift(phi, model.weights), phi.d, model.provenance)

@@ -7,7 +7,7 @@ and lifting low-dimensional weights back to the ambient space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,6 @@ from .errors import DimensionError
 #: Multiplier in front of (b/gamma)^2 log(...); the source bound hides the
 #: constant, 8 keeps the distortion checks comfortably green.  Override per call.
 DEFAULT_C_JL = 8.0
-
-#: `JlMatrix.hold` keeps the entries of a matrix of at most this many
-#: entries; a larger one is still generated a block at a time at every read.
-CACHE_LIMIT = 10**8
 
 #: Rows of a JL matrix generated, projected through and lifted through at
 #: once: 6.1 MB of float64 at d = 3000.  A multiple of 4, so the blocks'
@@ -56,28 +52,27 @@ def projection_dim(
 class JlMatrix:
     """Seeded k x d matrix with entries +/- 1/sqrt(k).
 
-    The entries are a pure function of (k, d, seed), so a matrix from
-    `sample_jl` keeps none.  `project_points` and `lift_weights` read it
-    BLOCK_ROWS rows at a time, each block generated from the seed's stream
-    when it is read and dropped after, so no more than one block exists at
-    once.  `hold` returns an equal matrix that generates its blocks once and
-    keeps them, for a caller that reads them many times; it projects and
-    lifts through the same blocks, so its results are the same bit for bit.
-    Block by block, the sums run in another order than in one product with
-    the whole matrix, so the results can differ from it in the last bits.
+    The entries are a pure function of (k, d, seed), so a matrix keeps none.
+    `blocks` generates them from the seed's stream BLOCK_ROWS rows at a time,
+    and `project_points` and `lift_weights` drop each block before the next
+    is drawn, so no more than one block exists at once.  A selection reads
+    a matrix once to project its candidate's rows and once more only to
+    lift the winner's weights.  Block by block, the sums run in another
+    order than in one product with the whole matrix, so the results can
+    differ from it in the last bits.
     """
 
     k: int
     d: int
     seed: int
-    _held: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1 or self.d < 1:
             raise DimensionError("k and d must be >= 1")
 
-    def _generate(self):
-        """Yield the entries from the seed, BLOCK_ROWS rows at a time.
+    def blocks(self):
+        """Yield the entries from the seed, BLOCK_ROWS rows at a time, top to
+        bottom.
 
         A block is dropped here before the next is drawn, so a reader that
         drops it too holds one block at a time.
@@ -92,20 +87,6 @@ class JlMatrix:
             block.setflags(write=False)
             yield block
             del block
-
-    def hold(self) -> JlMatrix:
-        """This matrix with its blocks generated now and kept while it lives.
-
-        Above CACHE_LIMIT entries it returns this matrix, which generates
-        them at every read.
-        """
-        if self.k * self.d > CACHE_LIMIT:
-            return self
-        return JlMatrix(self.k, self.d, self.seed, tuple(self._generate()))
-
-    def blocks(self):
-        """The entries, BLOCK_ROWS rows at a time, top to bottom."""
-        return iter(self._held) if self._held is not None else self._generate()
 
     @property
     def entries(self) -> np.ndarray:

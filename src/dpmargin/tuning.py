@@ -19,7 +19,7 @@ from ._seeding import child_seed  # noqa: F401  (unused; perfbench's tracer wrap
 from .data import Dataset
 from .errors import MissingContextError, ResourceError
 from .optimizer import (LinearModel, Lane, SelectionRun, iteration_cap, lane_width,
-                        project_rows, run_length)
+                        lift_model, project_rows, run_length)
 from .privacy import per_candidate_budget
 from .projection import JlMatrix
 
@@ -31,8 +31,10 @@ DEFAULT_RUN_CAP = 10**6
 class Candidate:
     """A margin value paired with its data-oblivious projection.
 
-    `rows`, when set, holds the training set's projected, clipped rows
-    (`optimizer.project_rows`), for base runs to read instead of projecting.
+    `rows`, set by a selection for each candidate it picks, holds the rows
+    its base runs descend on: the training set itself for the identity map,
+    and its projected, clipped rows (`optimizer.project_rows`) for a JL
+    matrix, generated a block at a time to project them.
     """
 
     gamma: float
@@ -209,23 +211,26 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     The noise key, `_seeding.noise_key(seed)`, and the iteration cap are
     read once; run i reads the key from counter block i, so its model does
     not depend on when it runs.  The picked candidates run one at a time in
-    index order, each its runs in index order.  Each model is scored as it
-    arrives and only the best so far is kept, by (noisy score, run index),
-    so the first index wins ties, as in `noisy_argmin`.
+    index order, each its runs in index order.
+
+    A picked candidate's rows (`Candidate.rows`) are set before its first
+    run and dropped before the next candidate's.  Its runs descend on them
+    and return k-dim models, scored on the same rows: for a clip factor
+    s > 0, sign(<w_k, s Phi z>) = sign(<Phi^T w_k, z>).  Only the best model
+    so far is kept, by (noisy score, run index), so the first index wins
+    ties, as in `noisy_argmin`.  A JL winner's matrix is generated once more
+    to lift its model to d (`optimizer.lift_model`); an identity winner is
+    returned as built.  The candidate returned is the caller's own.
 
     A candidate's run indices split into consecutive lanes of
     `optimizer.lane_width` columns, read from n, its k and the T of a run at
     `base_mu`; each lane is dropped when the next begins.  A candidate
-    picked once, and any whose runs take the Gram form, runs alone.  A JL
-    candidate picked more than once has its matrix generated and its rows
-    projected at the start of its runs, and both held (`JlMatrix.hold`,
-    `Candidate.rows`) until they end; one picked once is generated and
-    projected by its run.  The candidate returned is the caller's own.
+    picked once, and any whose runs take the Gram form, runs alone.
 
     Only runs on non-JL candidates read the training set's G
     (`Dataset.gram`).  G is released after the last picked such candidate,
-    so the JL runs after it project without G held, and again however the
-    selection ends.
+    so the JL candidates after it project without G held, and again however
+    the selection ends.
     """
     noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
     key, cap = noise_key(seed), iteration_cap()
@@ -235,24 +240,27 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     best = None  # (noisy score, run index, model)
     try:
         for j in chosen:
-            # drop the last candidate's held rows and lane before projecting
+            # drop the last candidate's rows and lane before projecting
             cand, lane, runs = candidates[j], None, np.flatnonzero(picks == j)
+            cand = replace(cand, rows=project_rows(cand.phi, dataset)
+                           if isinstance(cand.phi, JlMatrix) else dataset)
             width = 1
             if len(runs) > 1:
                 T = run_length(dataset.n, base_mu, cap=cap)
                 width = lane_width(dataset.n, cand.phi.k, T)
-                if isinstance(cand.phi, JlMatrix):
-                    cand = replace(cand, phi=cand.phi.hold())
-                    cand = replace(cand, rows=project_rows(cand.phi, dataset))
             for members in np.split(runs, range(width, len(runs), width)):
                 lane = Lane(key, members, width) if width > 1 else None
                 for column, i in enumerate(members.tolist()):
                     model = base(cand, base_mu, SelectionRun(key, i, cap, lane, column))
-                    noisy = score(model, dataset, spec) + noise[i]
+                    noisy = score(model, cand.rows, spec) + noise[i]
                     if best is None or (noisy, i) < best[:2]:
                         best = (noisy, i, model)
             if j == last_gram:
                 dataset.release_gram()
+        del cand, lane  # the last candidate's rows go before the lift
     finally:
         dataset.release_gram()
-    return best[2], candidates[picks[best[1]]]
+    winner = candidates[picks[best[1]]]
+    if isinstance(winner.phi, JlMatrix):
+        return lift_model(winner.phi, best[2]), winner
+    return best[2], winner

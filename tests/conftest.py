@@ -45,15 +45,16 @@ def gram_calls(monkeypatch):
 
 @pytest.fixture
 def jl_generations(monkeypatch):
-    """The JlMatrix of every JlMatrix._generate call while the test runs, in order."""
+    """The JlMatrix of every JlMatrix.blocks call, each a generation of its
+    entries, while the test runs, in order."""
     calls = []
-    original = JlMatrix._generate
+    original = JlMatrix.blocks
 
     def recording(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(JlMatrix, "_generate", recording)
+    monkeypatch.setattr(JlMatrix, "blocks", recording)
     return calls
 
 

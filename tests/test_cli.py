@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpmargin.cli import main
@@ -125,6 +126,41 @@ def test_train_without_seed_draws_a_secret_one(tmp_path, capsys, small_dataset,
     assert [bits for bits, _ in drawn] == [128] and used == [drawn[0][1]]
     assert "seed" not in stdout and str(used[0]) not in stdout + err
     assert stdout.splitlines()[0].startswith("empirical zero-one risk:")
+
+
+def test_train_normalises_rows_so_a_far_row_rescales_no_other(tmp_path, capsys):
+    # D' = D plus one row of norm 1e5 at right angles to the planted
+    # direction: the rows the mechanism receives for D' are D's, bit for
+    # bit, and its norm bound, apart from the added row
+    import dpmargin.cli as cli
+    from dpmargin.data import Dataset, save_csv, synth_margin_dataset
+
+    ds, w_star = synth_margin_dataset(50, 5, 0.3, 0, seed=3)
+    u = np.arange(1.0, 6.0)
+    u -= (u @ w_star) / (w_star @ w_star) * w_star
+    far = Dataset(np.vstack([ds.features, 1e5 * u / np.linalg.norm(u)]),
+                  np.append(ds.labels, 1), 1e5)
+    seen = []
+
+    def mechanism(dataset, cfg):
+        seen.append(dataset)
+        return dp_adaptive_margin(dataset, cfg)
+
+    dp_adaptive_margin = cli.dp_adaptive_margin
+    for name, data in (("d.csv", ds), ("d_prime.csv", far)):
+        save_csv(data, tmp_path / name)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "dp_adaptive_margin", mechanism)
+            code, _, _ = run(capsys, "train", "--dataset", str(tmp_path / name),
+                             "--epsilon", "1", "--delta", "1e-5", "--seed", "0")
+        assert code == 0
+    got, got_far = seen
+    assert got.norm_bound == got_far.norm_bound == 1.0
+    assert got_far.n == got.n + 1
+    assert got_far.signed_features()[:-1].tobytes() == got.signed_features().tobytes()
+    assert got_far.labels[:-1].tobytes() == got.labels.tobytes()
+    np.testing.assert_allclose(np.linalg.norm(got.signed_features(), axis=1), 1.0,
+                               rtol=1e-15)
 
 
 def test_train_thread_count_does_not_change_output(tmp_path, capsys,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dpmargin._seeding import NGD_NOISE, noise_key, stream
 from dpmargin.data import Dataset, synth_margin_dataset
-from dpmargin.errors import ResourceError
+from dpmargin.errors import DimensionError, ResourceError
 from dpmargin.loss import LossSpec, empirical_risk, hinge_sensitivity
 from dpmargin.optimizer import (
     BETA_OPT,
@@ -20,10 +20,13 @@ from dpmargin.optimizer import (
     _gram_pays,
     jlgd,
     lane_width,
+    lift_model,
     ngd,
+    project_rows,
     resolve_schedule,
 )
-from dpmargin.projection import IdentityMap, lift, project_and_clip, sample_jl
+from dpmargin.projection import IdentityMap, lift, sample_jl
+from dpmargin.tuning import ScoreSpec, score
 
 from conftest import fresh_block, random_unit_dataset
 from oracles import noisy_descent
@@ -270,17 +273,17 @@ def test_gram_form_jl_run_matches_reference():
     # k = 25 > n/2 = 20: the k-dim run inside jlgd takes the Gram form
     ds = planted(n=40, d=60, gamma=0.4, seed=8)
     phi = sample_jl(25, 60, seed=5)
-    low = project_and_clip(phi, ds, ds.norm_bound)
+    low = project_rows(phi, ds)
     for mode in ("averaged", "last_iterate"):
-        model = jlgd(phi, 0.13, ds, mu=0.5, mode=mode, seed=2)
+        model = jlgd(phi, 0.13, low, mu=0.5, mode=mode, seed=2)
         schedule = model.provenance.schedule
         averaged, last = full_block_reference(low, 0.13, schedule, 2)
-        want = lift(phi, averaged if mode == "averaged" else last)
+        want = averaged if mode == "averaged" else last
         np.testing.assert_allclose(model.weights, want, rtol=1e-12,
                                    atol=1e-14 * np.abs(want).max())
         np.testing.assert_array_equal(
-            model.weights,
-            lift(phi, dense_reference_weights(low, 0.13, schedule, mode == "averaged", 2)))
+            model.weights, dense_reference_weights(low, 0.13, schedule, mode == "averaged", 2))
+        np.testing.assert_array_equal(lift_model(phi, model).weights, lift(phi, model.weights))
 
 
 @pytest.mark.parametrize("T", [1, 12, 1100])
@@ -503,20 +506,49 @@ def test_averaged_excess_risk_decreases_in_t():
 def test_jlgd_classification_agreement_unclipped():
     ds = planted(n=50, d=40, gamma=0.45, seed=9)
     phi = sample_jl(25, 40, seed=4)
-    proj = project_and_clip(phi, ds, ds.norm_bound)
+    proj = project_rows(phi, ds)
     raw = ds.features @ phi.entries.T
     unclipped = np.linalg.norm(raw, axis=1) <= 2 * ds.norm_bound
     assert unclipped.any()
-    model = jlgd(phi, 0.15, ds, mu=0.4, mode="averaged", seed=11)
-    # reproduce the internal k-dim run (same inputs, same seed)
+    model = jlgd(phi, 0.15, proj, mu=0.4, mode="averaged", seed=11)
+    # the k-dim run is ngd's on the projected rows, with phi's seed recorded
     low = ngd(0.15, proj, mu=0.4, mode="averaged", seed=11)
+    assert model.weights.tobytes() == low.weights.tobytes()
     # lifted weights are Phi^T w_k, so <w_lift, x> = <w_k, Phi x> exactly
-    lifted_scores = ds.features @ model.weights
-    low_scores = proj.features @ low.weights
+    lifted_scores = ds.features @ lift_model(phi, model).weights
+    low_scores = proj.features @ model.weights
     np.testing.assert_allclose(lifted_scores[unclipped], low_scores[unclipped],
                                rtol=1e-9, atol=1e-12)
     assert np.array_equal(np.sign(lifted_scores[unclipped]),
                           np.sign(low_scores[unclipped]))
+
+
+def test_a_k_dim_model_makes_the_errors_of_its_lift():
+    # a run is scored on the projected, clipped rows it descended on: for a
+    # clip factor s > 0, sign(<w_k, s Phi z>) = sign(<Phi^T w_k, z>), so its
+    # zero-one count is that of its lifted model on the ambient rows
+    spec = ScoreSpec("empirical_zero_one")
+    clipped = 0
+    for k, seed in [(2, seed) for seed in range(6)] + [(40, 6)]:
+        ds = planted(n=120, d=60, gamma=0.3, outliers=8, seed=30 + seed)
+        phi = sample_jl(k, 60, seed=seed)
+        low = project_rows(phi, ds)
+        clipped += np.count_nonzero(
+            np.linalg.norm(ds.signed_features() @ phi.entries.T, axis=1) > 2 * ds.norm_bound)
+        model = jlgd(phi, 0.1, low, mu=0.5, seed=seed)
+        errors = score(model, low, spec)
+        assert errors > 0
+        assert errors == score(lift_model(phi, model), ds, spec)
+    assert clipped > 0  # at k = 2 some projected rows leave the radius-2b ball
+
+
+def test_jlgd_refuses_rows_outside_the_projection_space():
+    ds = planted(n=40, d=30, gamma=0.4, seed=1)
+    phi = sample_jl(10, 30, seed=99)
+    with pytest.raises(DimensionError, match="k=10"):
+        jlgd(phi, 0.13, ds, mu=0.3, seed=3)  # ambient rows, not projected ones
+    with pytest.raises(DimensionError):
+        jlgd(IdentityMap(31), 0.13, ds, mu=0.3, seed=3)
 
 
 def test_jlgd_noiseless_end_to_end_zero_risk():
@@ -538,20 +570,12 @@ def test_jlgd_budget_provenance():
 def test_jlgd_real_projection_records_seed():
     ds = planted(n=40, d=30, gamma=0.4, seed=1)
     phi = sample_jl(10, 30, seed=99)
-    model = jlgd(phi, 0.13, ds, mu=0.3, seed=3)
+    model = jlgd(phi, 0.13, project_rows(phi, ds), mu=0.3, seed=3)
     assert model.provenance.jl_seed == 99
     assert model.provenance.k == 10
-    assert model.dim == 30
-
-
-def test_jlgd_same_bits_on_a_held_and_an_unheld_matrix(jl_generations):
-    ds = planted(n=40, d=30, gamma=0.4, seed=1)
-    phi = sample_jl(10, 30, seed=99)
-    unheld = jlgd(phi, 0.13, ds, mu=0.3, seed=3)
-    assert jl_generations == [phi, phi]  # once to project, once to lift
-    held = phi.hold()
-    assert jlgd(held, 0.13, ds, mu=0.3, seed=3).weights.tobytes() == unheld.weights.tobytes()
-    assert len(jl_generations) == 3  # only `hold` generated for the held run
+    assert model.dim == 10
+    lifted = lift_model(phi, model)
+    assert lifted.dim == 30 and lifted.provenance == model.provenance
 
 
 def test_inlier_outlier_empirical_bound():
@@ -574,10 +598,13 @@ def test_jlgd_builds_one_model_per_identity_run(built_models):
     assert built_models == [6]
 
 
-def test_jlgd_builds_one_model_per_space_for_a_projection(built_models):
+def test_jlgd_builds_k_dim_models_and_lift_model_one_d_dim_model(built_models):
     ds = planted(n=40, d=30, gamma=0.4, seed=1)
-    jlgd(sample_jl(10, 30, seed=99), 0.13, ds, mu=0.3, seed=3)
-    assert built_models == [10, 30]  # the k-dim run, then the lifted model
+    phi = sample_jl(10, 30, seed=99)
+    model = jlgd(phi, 0.13, project_rows(phi, ds), mu=0.3, seed=3)
+    assert built_models == [10, 10]  # ngd's model, then with the JL seed recorded
+    lift_model(phi, model)
+    assert built_models == [10, 10, 30]
 
 
 # ---------------------------------------------------------------- model type

@@ -71,17 +71,6 @@ def test_sample_jl_mean_within_three_sigma():
     assert abs(mean) <= 3 * sigma_mean
 
 
-def test_jl_matrix_held_entries_match_regenerated(jl_generations):
-    phi = sample_jl(300, 4, seed=3)  # two blocks
-    assert jl_generations == []  # sampling fixes (k, d, seed) only
-    held = phi.hold()
-    assert held == phi and jl_generations == [phi]
-    assert all(a is b for a, b in zip(held.blocks(), held.blocks()))
-    assert not any(a is b for a, b in zip(phi.blocks(), phi.blocks()))
-    assert held.entries.tobytes() == phi.entries.tobytes()
-    assert len(jl_generations) == 4  # hold once, then each of the 3 reads of phi
-
-
 @pytest.mark.parametrize("d", [599, 3000, 3001])
 def test_streamed_blocks_are_one_full_draw(d):
     assert BLOCK_ROWS % 4 == 0  # four int8 draws share a 32-bit word
@@ -101,9 +90,6 @@ def test_block_projection_and_lift_match_the_whole_matrix(rng):
     full = phi.entries
     np.testing.assert_allclose(phi.project_points(x), x @ full.T, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(phi.lift_weights(w_k), full.T @ w_k, rtol=1e-12, atol=1e-14)
-    held = phi.hold()
-    assert held.project_points(x).tobytes() == phi.project_points(x).tobytes()
-    assert held.lift_weights(w_k).tobytes() == phi.lift_weights(w_k).tobytes()
 
 
 def test_project_and_lift_hold_one_block_of_the_matrix(rng):
@@ -121,14 +107,6 @@ def test_project_and_lift_hold_one_block_of_the_matrix(rng):
         finally:
             tracemalloc.stop()
         assert out_bytes + 8 * BLOCK_ROWS * d < peak < out_bytes + block + 65536
-
-
-def test_jl_matrix_above_cache_limit_is_not_held(monkeypatch, jl_generations):
-    import dpmargin.projection as projection
-
-    monkeypatch.setattr(projection, "CACHE_LIMIT", 6 * 4 - 1)
-    phi = sample_jl(6, 4, seed=3)
-    assert phi.hold() is phi and jl_generations == []
 
 
 # ---------------------------------------------------------------- project/clip

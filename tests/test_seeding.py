@@ -84,7 +84,7 @@ def long_selection():
 
     def select(runs=None):
         def base(candidate, mu, run):
-            model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=run)
+            model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=run)
             if runs is not None:
                 runs.append((candidate, run, model))
             return model

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -15,9 +16,10 @@ from dpmargin._seeding import (
 )
 from dpmargin.data import synth_margin_dataset
 from dpmargin.errors import MissingContextError, ResourceError
-from dpmargin.optimizer import LinearModel, Provenance, SelectionRun, iteration_cap, jlgd
+from dpmargin.optimizer import (Lane, LinearModel, Provenance, SelectionRun, iteration_cap, jlgd,
+                                project_rows)
 from dpmargin.privacy import per_candidate_budget
-from dpmargin.projection import IdentityMap, JlMatrix, sample_jl
+from dpmargin.projection import BLOCK_ROWS, IdentityMap, JlMatrix, lift, sample_jl
 from dpmargin.tuning import (
     Candidate,
     ScoreSpec,
@@ -28,6 +30,7 @@ from dpmargin.tuning import (
     priv_tune,
     sample_tnb,
     score,
+    score_noise,
     tnb_not_selected_prob,
     tnb_pgf,
     tnb_pmf,
@@ -510,7 +513,7 @@ def test_priv_tune_models_own_their_weights_and_lanes_close_one_at_a_time():
             live.add(s.lane)
             lanes[0] += 1
         peak[0] = max(peak[0], len(live))
-        model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+        model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
         models.append(model)
         return model
 
@@ -552,13 +555,38 @@ def test_streamed_selection_matches_noisy_argmin(callers):
                 np.testing.assert_array_equal(model.weights, want_model.weights)
 
 
+def jl_fixture():
+    """Two JL candidates, then an identity one, on a 40-row training set."""
+    ds = planted(n=40, d=30, seed=20)
+    return ds, [Candidate(0.4, sample_jl(10, 30, seed=1)),
+                Candidate(0.8, sample_jl(6, 30, seed=2)),
+                Candidate(0.1, IdentityMap(30))]
+
+
+def rows_base(runs=None):
+    """The master's base run: jlgd on the candidate's rows.  Appends each
+    run's (candidate, budget, run, model) to `runs` when given."""
+
+    def base(candidate, mu, s):
+        model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
+        if runs is not None:
+            runs.append((candidate, mu, s, model))
+        return model
+
+    return base
+
+
 @pytest.mark.parametrize("callers", [1, 2])
 def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
         callers, jl_generations, monkeypatch):
     import dpmargin.optimizer as optimizer
 
-    # each caller thread selects among candidates of its own, at once, and
-    # reads only the generations and projections of its own matrices
+    # in one selection, by either tuner, each picked JL matrix is generated
+    # once, just before its candidate's first run, to project the rows, and
+    # once more, after the last run, only if its candidate wins; the identity
+    # candidate's rows are the training set's own.  Each caller thread
+    # selects among candidates of its own, at once, and reads only the
+    # generations and projections of its own matrices.
     caller = threading.local()
     original = optimizer.project_and_clip
 
@@ -572,17 +600,10 @@ def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
     def uses(seed):
         k_runs = sample_tnb(dist, stream(seed, TNB_RUNS))
         picks = stream(seed, CANDIDATE_PICK).integers(0, 3, size=k_runs)
-        return np.bincount(picks, minlength=3)[:2]  # the JL candidates
+        return np.bincount(picks, minlength=3)
 
-    def check(seed):
-        ds = planted(n=40, d=30, seed=20)
-        cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
-                 Candidate(0.8, sample_jl(6, 30, seed=2)),
-                 Candidate(0.1, IdentityMap(30))]
-        reused = [c.phi for c, m in zip(cands, uses(seed)) if m > 1]
-        single = [c.phi for c, m in zip(cands, uses(seed)) if m == 1]
-        unpicked = [c.phi for c, m in zip(cands, uses(seed)) if m == 0]
-        assert len(single + unpicked) == 1
+    def check(seed, tuner):
+        ds, cands = jl_fixture()
         caller.projected = []
         at_first_run = {}  # gamma -> the generations when its first run began
 
@@ -593,31 +614,37 @@ def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
         def base(candidate, mu, s):
             if candidate.gamma not in at_first_run:
                 at_first_run[candidate.gamma] = generated()
-            return jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+            assert candidate.rows.dim == candidate.phi.k
+            assert (candidate.rows is ds) == isinstance(candidate.phi, IdentityMap)
+            return jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
 
-        _, picked = priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"),
-                              seed=seed)
-        # the candidates run in index order: a reused matrix is generated
-        # once, just before its candidate's first run, and a single-run one
-        # twice by its run (to project and to lift)
-        want, before = {}, []
-        for c, m in zip(cands, uses(seed)):
-            before += [c.phi] if m > 1 else []
-            if m:
-                want[c.gamma] = list(before)
-            before += [c.phi, c.phi] if m == 1 else []
-        assert {g: at_first_run[g] for g in want} == want
-        assert Counter(generated()) == {**{phi: 1 for phi in reused},
-                                        **{phi: 2 for phi in single}}
-        assert not any(phi in unpicked for phi in caller.projected)
-        assert any(picked is c for c in cands)
+        spec = ScoreSpec("empirical_zero_one")
+        if tuner == "iterate":
+            used = [1, 1, 1]
+            model, picked = iter_tune(base, cands, ds, 0.5, spec, seed=seed)
+        else:
+            used = uses(seed)
+            model, picked = priv_tune(base, cands, dist, ds, 0.5, spec, seed=seed)
+        jl = [c.phi for c, m in zip(cands, used) if m and isinstance(c.phi, JlMatrix)]
+        # a candidate's first run follows its own projection and the earlier ones
+        want = {c.gamma: jl[:sum(1 for e in cands[:j + 1] if e.phi in jl)]
+                for j, (c, m) in enumerate(zip(cands, used)) if m}
+        assert at_first_run == want
+        won = isinstance(picked.phi, JlMatrix)
+        assert generated() == jl + ([picked.phi] if won else [])
+        assert caller.projected == jl  # never the identity map's
+        assert any(picked is c for c in cands) and model.dim == 30
+        return won
 
-    # one JL candidate runs more than once, the other exactly once, then never
-    for other in (1, 0):
-        seed = next(s for s in range(200)
-                    if sorted(uses(s))[0] == other and max(uses(s)) > 1)
-        jl_generations.clear()
-        on_caller_threads(lambda: check(seed), callers)
+    winners = set()
+    for seed in range(12):
+        for tuner in ("iterate", "priv_tune"):
+            jl_generations.clear()
+            winners.update(on_caller_threads(lambda: check(seed, tuner), callers))
+    assert winners == {True, False}  # JL and identity winners both seen
+    # among them, a JL candidate picked more than once, one picked once, and one never
+    assert {0, 1} <= {int(m) for seed in range(12) for m in uses(seed)[:2]}
+    assert max(uses(seed)[:2].max() for seed in range(12)) > 1
 
 
 def test_priv_tune_holds_one_jl_candidate_at_a_time_and_no_gram_in_its_runs(monkeypatch):
@@ -625,7 +652,7 @@ def test_priv_tune_holds_one_jl_candidate_at_a_time_and_no_gram_in_its_runs(monk
 
     # identity runs in the Gram form build the training set's G; the JL
     # candidates after them, each run several times in lanes, hold their
-    # matrix and rows one at a time, also while the next one projects, with
+    # projected rows one at a time, also while the next one projects, with
     # G already released
     ds = planted(n=40, d=30, seed=20)
     cands = [Candidate(0.1, IdentityMap(30)),
@@ -639,8 +666,7 @@ def test_priv_tune_holds_one_jl_candidate_at_a_time_and_no_gram_in_its_runs(monk
                            minlength=3)
 
     seed = next(s for s in range(200) if uses(s).min() > 1)
-    # id -> object, while it lives (datasets are unhashable)
-    held_phi, held_rows = weakref.WeakValueDictionary(), weakref.WeakValueDictionary()
+    held_rows = weakref.WeakValueDictionary()  # id -> rows, while they live
     peak, grams, jl_grams, jl_lanes = [0, 0], [], [], []
     original = optimizer.project_and_clip
 
@@ -651,14 +677,13 @@ def test_priv_tune_holds_one_jl_candidate_at_a_time_and_no_gram_in_its_runs(monk
     monkeypatch.setattr(optimizer, "project_and_clip", spy)
 
     def base(candidate, mu, s):
-        if candidate.rows is not None:
-            held_phi[id(candidate.phi)] = candidate.phi
+        if candidate.rows is not ds:
             held_rows[id(candidate.rows)] = candidate.rows
             jl_grams.append(ds._gram)
             jl_lanes.append(s.lane is not None)  # not the lane: it holds the rows
-        peak[:] = max(peak[0], len(held_phi)), max(peak[1], len(held_rows))
-        model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s, low=candidate.rows)
-        if candidate.rows is None:
+        peak[0] = max(peak[0], len(held_rows))
+        model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
+        if candidate.rows is ds:
             grams.append(ds._gram)
         return model
 
@@ -667,6 +692,27 @@ def test_priv_tune_holds_one_jl_candidate_at_a_time_and_no_gram_in_its_runs(monk
     assert len(jl_grams) == uses(seed)[1:].sum() and all(g is None for g in jl_grams)
     assert all(jl_lanes)
     assert peak == [1, 1] and ds._gram is None
+
+
+def test_priv_tune_peak_holds_no_whole_jl_matrix():
+    # one JL candidate, four blocks tall, run several times: its matrix is
+    # generated a block at a time to project the rows and to lift the
+    # winner, so the selection peaks well below one whole k x d matrix
+    n, k, d = 40, 4 * BLOCK_ROWS, 2000
+    ds = planted(n=n, d=d, seed=21)
+    cands = [Candidate(0.8, sample_jl(k, d, seed=3))]
+    dist = TnbDist(1, 0.3)
+    seed = next(s for s in range(200) if sample_tnb(dist, stream(s, TNB_RUNS)) > 2)
+    ds.signed_features()
+    tracemalloc.start()
+    try:
+        model, _ = priv_tune(rows_base(), cands, dist, ds, 0.5,
+                             ScoreSpec("empirical_zero_one"), seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.dim == d
+    assert 8 * BLOCK_ROWS * d < peak < 8 * k * d
 
 
 def test_iter_tune_releases_gram_when_a_run_fails():
@@ -679,7 +725,7 @@ def test_iter_tune_releases_gram_when_a_run_fails():
         calls.append(s)
         if len(calls) == 2:
             raise RuntimeError("second run fails")
-        model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s)
+        model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
         assert model.provenance.schedule.T == 6667 and ds._gram is not None
         return model
 
@@ -694,10 +740,10 @@ def test_priv_tune_projects_each_reused_jl_candidate_once(callers, monkeypatch):
     import dpmargin.optimizer as optimizer
 
     dist = TnbDist(1, 0.2)
-    seed = 3  # both JL candidates run more than once
+    seed = 3  # both JL candidates run more than once, the identity one never
     picks = stream(seed, CANDIDATE_PICK).integers(
         0, 3, size=sample_tnb(dist, stream(seed, TNB_RUNS)))
-    assert min(np.bincount(picks, minlength=3)[:2]) > 1
+    assert min(np.bincount(picks, minlength=3)[:2]) > 1 and 2 not in picks
     # each caller thread selects among candidates of its own, at once
     caller = threading.local()
     original = optimizer.project_and_clip
@@ -708,28 +754,35 @@ def test_priv_tune_projects_each_reused_jl_candidate_once(callers, monkeypatch):
 
     monkeypatch.setattr(optimizer, "project_and_clip", spy)
 
+    def alone(run):
+        """The run again, alone in a lane of its own lane's width."""
+        lane = run.lane and Lane(run.key, np.array([run.index]), run.lane.width)
+        return run._replace(lane=lane, column=0)
+
     def check():
-        ds = planted(n=40, d=30, seed=20)
-        cands = [Candidate(0.4, sample_jl(10, 30, seed=1)),
-                 Candidate(0.8, sample_jl(6, 30, seed=2)),
-                 Candidate(0.1, IdentityMap(30))]
+        ds, cands = jl_fixture()
         caller.projected, runs = [], []
-
-        def base(candidate, mu, s):
-            model = jlgd(candidate.phi, candidate.gamma / 3, ds, mu, seed=s,
-                         low=candidate.rows)
-            runs.append((candidate, mu, s, model))
-            return model
-
-        priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed)
+        spec = ScoreSpec("empirical_zero_one")
+        model, picked = priv_tune(rows_base(runs), cands, dist, ds, 0.5, spec, seed=seed)
         assert Counter(caller.projected) == {cands[0].phi: 1, cands[1].phi: 1}
-        held = [run for run in runs if isinstance(run[0].phi, JlMatrix)]
-        assert len(held) == len(picks) - np.count_nonzero(picks == 2)
-        for cand, mu, s, model in held:
-            assert cand.rows is not None
-            streamed = jlgd(JlMatrix(cand.phi.k, cand.phi.d, cand.phi.seed),
-                            cand.gamma / 3, ds, mu, seed=s)
-            assert model.weights.tobytes() == streamed.weights.tobytes()
+        assert len(runs) == len(picks)
+        noise = score_noise(per_candidate_budget(0.5, 1)[1], len(picks),
+                            stream(seed, SCORE_NOISE))
+        noisy, lifted = {}, {}
+        for cand, mu, s, run_model in runs:
+            # each run's k-dim bits, descended alone on freshly projected rows
+            fresh = JlMatrix(cand.phi.k, cand.phi.d, cand.phi.seed)
+            rows = project_rows(fresh, ds)
+            again = jlgd(fresh, cand.gamma / 3, rows, mu, seed=alone(s))
+            assert run_model.dim == cand.phi.k
+            assert run_model.weights.tobytes() == again.weights.tobytes()
+            noisy[s.index] = score(again, rows, spec) + noise[s.index]
+            lifted[s.index] = lift(fresh, again.weights)
+        # the winner, the least noisy k-space score, is returned lifted to d
+        best = min(noisy, key=lambda i: (noisy[i], i))
+        assert picked is cands[picks[best]] and isinstance(picked.phi, JlMatrix)
+        assert model.dim == 30 and model.provenance.jl_seed == picked.phi.seed
+        assert model.weights.tobytes() == lifted[best].tobytes()
 
     on_caller_threads(check, callers)
 
