@@ -10,8 +10,7 @@ decoupled, so coupling tests can replay one stream while varying another.
 
 A selection's base runs share one key, `noise_key(seed)`, derived once, and
 run i reads it from counter block i (`block_stream`), so no run hashes a
-seed of its own and runs on any threads draw the same numbers.  Runs that
-descend together read their blocks in turns (`BlockReader`).
+seed of its own and runs on any threads draw the same numbers.
 """
 
 from __future__ import annotations
@@ -79,8 +78,7 @@ def block_stream(key: int, block: int) -> np.random.Generator:
     state: 1.9 us a call, where a new Philox at the same key and counter
     costs 11 us because numpy builds an entropy SeedSequence it never reads
     (`timeit`, numpy 2.4, x86).  The thread's next call moves it again, so
-    draw everything from one block first, or read several blocks in turns
-    with `BlockReader`.
+    draw everything from one block before moving to the next.
     """
     generator, state = _thread_generator()
     words = state["state"]
@@ -90,33 +88,3 @@ def block_stream(key: int, block: int) -> np.random.Generator:
     generator.bit_generator.state = state
     return generator
 
-
-class BlockReader:
-    """Counter blocks `blocks` of `key`, each read as its own stream, in turns.
-
-    `normals(out, more)` fills out[j] with the next out[j].size normals of
-    the stream of `blocks[j]`, for each j < len(blocks), so what successive
-    calls put in out[j] is what `block_stream(key, blocks[j])` draws in one
-    go; the rest of `out` is left as it is.  Every
-    stream is read on the calling thread's generator: the first call moves
-    it to each block, and a call with `more` set keeps each stream's
-    position after its fill, for the next call to restore.
-    """
-
-    def __init__(self, key: int, blocks):
-        self.key = key
-        self.blocks = blocks
-        self._states = None
-
-    def normals(self, out: np.ndarray, more: bool) -> None:
-        generator, _ = _thread_generator()
-        kept = []
-        for j, block in enumerate(self.blocks):
-            if self._states is None:
-                block_stream(self.key, int(block))
-            else:
-                generator.bit_generator.state = self._states[j]
-            generator.standard_normal(out=out[j])
-            if more:
-                kept.append(generator.bit_generator.state)
-        self._states = kept if more else None

@@ -7,7 +7,8 @@ print the seed they draw.  `train` draws a 128-bit seed and prints nothing of
 it: its privacy guarantee assumes the noise seed is secret, so --seed is for
 reproducible tests, and publishing a seed voids the guarantee; the budget
 ledger states that assumption (`secret_seed`).  `train` maps every nonzero
-row to unit norm before training, and `eval` scores the rows so mapped.
+row to unit norm before training, and `eval` scores the rows so mapped; the
+ledger says so too (`row_scaling`).
 `train` also prints the model's noiseless training risk, which no ledger
 covers: that line is released outside the guarantee, and says so.  The
 environment variables SOURCE_DATE_EPOCH and DPMARGIN_T_CAP are checked before

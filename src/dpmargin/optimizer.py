@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._seeding import NGD_NOISE, BlockReader, block_stream, stream
+from ._seeding import NGD_NOISE, block_stream, stream
 from .data import Dataset
 from .errors import DimensionError, ResourceError
 from .loss import hinge_sensitivity
 from .privacy import gaussian_noise_std
-from .projection import IdentityMap, lift, project_and_clip
+from .projection import lift, project_and_clip
 
 #: High-probability step-size constant log(1/beta_opt); beta_opt = 0.01.
 BETA_OPT = 0.01
@@ -71,63 +72,69 @@ class SelectionRun(NamedTuple):
 
     The run draws its noise from `_seeding.block_stream(key, index)`, `key`
     being `noise_key` of the selection's seed, and holds its T to `cap`, the
-    iteration cap its selection read once.  A run given a `lane` is that
-    lane's member `column`, descended with its lane mates.  Its bits follow
-    from key, index and the lane's width alone, so a selection may run its
-    runs in any order.
+    iteration cap its selection read once.  A run given a `lane` may descend
+    with the lane's other runs (`Lane`).  Its bits follow from key, index
+    and its lane's runs alone, so a selection may run its runs in any order.
     """
 
     key: int
     index: int
     cap: int
     lane: Lane | None = None
-    column: int = 0
 
 
 class Lane:
-    """Runs of one candidate that `ngd` descends together, `width` columns wide.
+    """Runs of one candidate that `ngd` may descend together.
 
-    `members` holds the runs' indices in their selection, at most `width`
-    of them, member j in column j; the columns past the members are inert,
-    with zero noise, so a run's bits depend on neither its lane mates nor
-    their number.  The members share their rows, c and schedule.  The
-    first member to reach `ngd` descends the whole lane, reading member j's
-    noise from `block_stream(key, members[j])`, and each member then takes a
-    copy of its own column.  The lane keeps its weights until it is
-    dropped; its selection drops it before the next lane begins.
+    `runs` lists the runs' indices in their selection, in increasing order.
+    `ngd` picks the width W from the n, k and T it resolves (`lane_width`);
+    at W > 1 the run at position p of `runs` descends in lane p // W, the
+    runs at positions W (p // W) onwards, at most W of them, with run j of
+    the lane in column j.  The columns past the lane's runs are inert, with
+    zero noise, so a run's bits depend on neither its lane mates nor their
+    number.  The runs share their rows (the same `Dataset`) and schedule.
+    The first run of a lane to reach `ngd` descends the whole lane, reading
+    the lane's run i's noise from `block_stream(key, i)` in one go, and each
+    run then takes a copy of its own column.  Only the last lane descended
+    keeps its weights.
     """
 
-    def __init__(self, key: int, members: np.ndarray, width: int):
-        if not 1 <= len(members) <= width:
-            raise ValueError(f"a lane of width {width} cannot hold {len(members)} runs")
+    def __init__(self, key: int, runs: list[int]):
         self.key = key
-        self.members = members
-        self.width = width
-        self._descent = None  # (rows, schedule) the lane was descended with
-        self._weights = None  # k x width, once the first member asks
+        self.runs = runs
+        self._descent = None  # (rows, schedule) the runs descend with
+        self._start = None  # position in `runs` of the lane held in _weights
+        self._weights = None  # k x W
 
-    def column(self, j: int, dataset: Dataset, schedule: tuple) -> np.ndarray:
-        """Member j's weights, for `schedule` = (c, T, sigma, eta, averaging)."""
+    def column(self, index: int, width: int, dataset: Dataset, schedule: tuple) -> np.ndarray:
+        """Run `index`'s weights in a lane `width` columns wide, for
+        `schedule` = (c, T, sigma, eta, averaging)."""
         if self._descent is None:
             self._descent = (dataset, schedule)
-        elif self._descent[1] != schedule or not (
-                self._descent[0] is dataset or np.array_equal(
-                    self._descent[0].signed_features(), dataset.signed_features())):
-            raise ValueError("the members of a lane must share their rows and schedule")
-        if self._weights is None:
-            self._weights = self._descend(dataset, *schedule)
-        return self._weights[:, j].copy()
+        elif self._descent[0] is not dataset or self._descent[1] != schedule:
+            raise ValueError("the runs of a lane must share their rows and schedule")
+        position = bisect_left(self.runs, index)
+        if position == len(self.runs) or self.runs[position] != index:
+            raise ValueError(f"run {index} is not in this lane")
+        start = position - position % width
+        if self._start != start:
+            self._weights = None  # drop the last lane before descending the next
+            self._weights = self._descend(self.runs[start:start + width], width, dataset,
+                                          *schedule)
+            self._start = start
+        return self._weights[:, position - start].copy()
 
-    def _descend(self, dataset, c, T, sigma, eta, averaging):
-        reader = BlockReader(self.key, self.members)
+    def _descend(self, members, width, dataset, c, T, sigma, eta, averaging):
+        def blocks():
+            noise = np.zeros((width, T, dataset.dim))
+            for j, index in enumerate(members):
+                block_stream(self.key, index).standard_normal(out=noise[j])
+            for start in range(0, T, _NOISE_BLOCK):
+                yield noise[:, start:start + _NOISE_BLOCK]
 
-        def draw(rows, more):
-            block = np.zeros((self.width, rows, dataset.dim))
-            reader.normals(block, more)
-            return block
-
+        draws = blocks()  # drawn on the first noise block's request
         return _feature_descent(dataset.signed_features(), c, T, sigma, eta, averaging,
-                                draw, self.width)
+                                lambda rows: next(draws), width)
 
 
 def lane_width(n: int, k: int, T: int) -> int:
@@ -135,7 +142,7 @@ def lane_width(n: int, k: int, T: int) -> int:
 
     1 where the Gram form runs (`_gram_pays`), which descends alone;
     otherwise the largest power of two that keeps each lane array, the
-    n x W scores and a noise block of min(T, 512) x k x W, within 2^13
+    n x W scores and the lane's whole noise of T x k x W, within 2^13
     numbers: 32 at n = 100, k = 20, T = 12.  A lane's arrays are what
     batching adds to a selection's peak memory: there, widths 64 and 128
     add 0.7 and 1.1 MB to a 39 MB `train`, against 0.45 MB at 32, and
@@ -143,7 +150,7 @@ def lane_width(n: int, k: int, T: int) -> int:
     """
     if _gram_pays(n, k, T):
         return 1
-    fit = _LANE_NUMBERS // max(n, min(T, _NOISE_BLOCK) * k)
+    fit = _LANE_NUMBERS // max(n, T * k)
     return 1 << max(0, fit.bit_length() - 1)
 
 
@@ -250,15 +257,17 @@ def ngd(
     Returns the averaged iterate (1/T) sum_{t<T} w_t or the last iterate w_T
     depending on `mode`.  Deterministic given `seed`.  Each run resolves its
     own schedule (T, sigma, eta) and form, and records the schedule in the
-    model's `provenance.schedule`.  A feature-space `SelectionRun` with a
-    `lane` returns its own column of the lane's descent (`Lane`); its sums
-    then run as matrix products, whose order differs from a lone run's
-    matrix-vector products in the last bits.
+    model's `provenance.schedule`.  A `SelectionRun` with a `lane` descends
+    with its lane mates in a lane `lane_width(n, k, T)` columns wide and
+    returns its own column (`Lane`); its sums then run as matrix products,
+    whose order differs from a lone run's matrix-vector products in the last
+    bits.  At width 1, which the Gram form always gets, it descends alone.
 
-    Gradient noise is drawn from the run's stream in blocks of at most 512
-    rows, none longer than the steps left, so a noisy run draws exactly
-    T * k normals.  The stream fills arrays in order, so the noise does not
-    depend on the block sizes.  An integer seed opens
+    A lone run draws its gradient noise from its stream in blocks of at
+    most 512 rows, none longer than the steps left, and a lane run draws its
+    T x k rows in one go, so a noisy run draws exactly T * k normals.  The
+    stream fills arrays in order, so the noise does not depend on the block
+    sizes.  An integer seed opens
     `_seeding.stream(seed, NGD_NOISE)` and reads DPMARGIN_T_CAP; a
     `SelectionRun` reads its selection's key at its own counter block
     (`_seeding.block_stream`) and brings the cap its selection read.  Block
@@ -291,16 +300,16 @@ def ngd(
     T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or _NO_OVERRIDES,
                                      run.cap if run else None)
     averaging = mode == "averaged"
-    gram = _gram_pays(n, k, T)
-    if run is not None and run.lane is not None and not gram:
-        out = run.lane.column(run.column, dataset, (c, T, sigma, eta, averaging))
+    width = lane_width(n, k, T) if run and run.lane else 1
+    if width > 1:
+        out = run.lane.column(run.index, width, dataset, (c, T, sigma, eta, averaging))
     else:
         rng = block_stream(run.key, run.index) if run else stream(seed, NGD_NOISE)
-        if gram:
+        if _gram_pays(n, k, T):
             out = _gram_descent(dataset, c, T, sigma, eta, averaging, rng)
         else:
             out = _feature_descent(dataset.signed_features(), c, T, sigma, eta, averaging,
-                                   lambda rows, more: rng.standard_normal((1, rows, k)))
+                                   lambda rows: rng.standard_normal((1, rows, k)))
     return LinearModel(out, k, Provenance(k=k, schedule=NgdConfig(T=T, sigma=sigma, eta=eta)))
 
 
@@ -335,9 +344,9 @@ def _feature_descent(signed, c, T, sigma, eta, averaging, draw, width=1) -> np.n
     t + 1: S w_0 = 0 is never computed, and neither is S w_T.
 
     Run j is column j of x, so a step is two matrix products, (n x k)(k x W)
-    and (k x n)(n x W).  `draw(rows, more)` returns a width x rows x k
-    array whose [j] holds run j's next `rows` noise rows, `more` telling
-    whether more blocks follow.  At width 1 every array is a vector, and a
+    and (k x n)(n x W).  `draw(rows)` returns a width x rows x k array,
+    which the loop overwrites, whose [j] holds run j's next `rows` noise
+    rows.  At width 1 every array is a vector, and a
     step is the two matrix-vector products of a lone run.  Returns w,
     k x `width` (a k-vector at width 1).
     """
@@ -357,7 +366,7 @@ def _feature_descent(signed, c, T, sigma, eta, averaging, draw, width=1) -> np.n
         rows = min(_NOISE_BLOCK, T - start)
         last = rows - 1 if start + rows == T else rows
         if noisy:
-            block = draw(rows, start + rows < T)
+            block = draw(rows)
             block *= c * sigma
             block[:, 0] += drift
             np.cumsum(block, axis=1, out=block)  # row t is r_{start + t + 1}
@@ -450,23 +459,23 @@ def jlgd(
     seed: int | SelectionRun = 0,
     overrides: NgdOverrides | None = None,
 ) -> LinearModel:
-    """Run ngd on `low`, the rows in phi's k dimensions, and record phi's seed.
+    """Run ngd on `low`, the rows in phi's k dimensions.
 
     `low` is `project_rows(phi, dataset)` for a JL matrix and the dataset
-    itself for the identity map, whose model is returned as `ngd` built it.
-    `lift_model` takes a JL model back to d.  The reference-point norm is 1:
+    itself for the identity map; either way the model is returned as `ngd`
+    built it.  `lift_model` takes a JL model back to d and records phi's
+    seed.  The reference-point norm is 1:
     the analysis anchor is the normalized max-margin separator, which the
     algorithm never needs explicitly.
     """
     if low.dim != phi.k:
         raise DimensionError(f"rows have dim {low.dim}, projection k={phi.k}")
-    model = ngd(c, low, mu, mode=mode, seed=seed, overrides=overrides)
-    if isinstance(phi, IdentityMap):  # ngd's model already records k = d and no seed
-        return model
-    return replace(model, provenance=replace(model.provenance, jl_seed=phi.seed))
+    return ngd(c, low, mu, mode=mode, seed=seed, overrides=overrides)
 
 
 def lift_model(phi, model: LinearModel) -> LinearModel:
     """A model descended on `project_rows(phi, ...)`, with its weights lifted
-    back to phi's d dimensions."""
-    return LinearModel(lift(phi, model.weights), phi.d, model.provenance)
+    back to phi's d dimensions and phi's seed recorded."""
+    prov = model.provenance
+    return LinearModel(lift(phi, model.weights), phi.d,
+                       Provenance(jl_seed=phi.seed, k=prov.k, schedule=prov.schedule))

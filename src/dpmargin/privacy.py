@@ -22,6 +22,11 @@ NEIGHBOURS = ("add or remove one point; Delta = b/c; n is public, as the grid, T
 SECRET_SEED = ("assumed: every noise draw follows from the seed, so the guarantee holds "
                "only while the seed stays secret; --seed is for reproducible tests, and "
                "a published seed voids the guarantee")
+#: How the rows the guarantee speaks of are scaled.
+ROW_SCALING = ("train maps every nonzero row x to x/||x|| and runs at b = 1, so no row "
+               "sets the scale of another; the library call dp_adaptive_margin keeps "
+               "its caller's norm_bound b, which must not depend on the data, and "
+               "refuses rows longer than b")
 
 
 def gaussian_noise_std(sensitivity: float, mu: float) -> float:
@@ -139,8 +144,8 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
     the per-run budget and score-noise std are the ones it injects.  The
     guarantee is (epsilon, delta)-DP for "iterate" and
     (epsilon + delta, delta)-DP for "priv_tune", which also needs n, both
-    under the add/remove-one relation in `neighbours` and with a secret seed
-    (`secret_seed`).
+    under the add/remove-one relation in `neighbours`, with a secret seed
+    (`secret_seed`), on rows scaled as `row_scaling` says.
     """
     if tuner == "iterate":
         mu = master_iter_budget(epsilon, delta)
@@ -160,6 +165,7 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
             "guarantee": f"({epsilon:g}, {delta:g})-DP",
             "neighbours": NEIGHBOURS,
             "secret_seed": SECRET_SEED,
+            "row_scaling": ROW_SCALING,
         }
     if tuner != "priv_tune":
         raise ValueError(f"unknown tuner {tuner!r}")
@@ -181,6 +187,7 @@ def budget_ledger(epsilon: float, delta: float, tuner: str, grid_size: int,
                      f" (= (epsilon + delta, delta) at epsilon = {epsilon:g})",
         "neighbours": NEIGHBOURS,
         "secret_seed": SECRET_SEED,
+        "row_scaling": ROW_SCALING,
     }
 
 

@@ -18,8 +18,7 @@ from ._seeding import CANDIDATE_PICK, SCORE_NOISE, TNB_RUNS, noise_key, stream
 from ._seeding import child_seed  # noqa: F401  (unused; perfbench's tracer wraps this name)
 from .data import Dataset
 from .errors import MissingContextError, ResourceError
-from .optimizer import (LinearModel, Lane, SelectionRun, iteration_cap, lane_width,
-                        lift_model, project_rows, run_length)
+from .optimizer import LinearModel, Lane, SelectionRun, iteration_cap, lift_model, project_rows
 from .privacy import per_candidate_budget
 from .projection import JlMatrix
 
@@ -117,7 +116,7 @@ def iter_tune(
     Run i draws its noise from its own counter block of the seed's noise
     key (`SelectionRun`), so its model follows from the seed and i alone,
     whatever thread runs the selection.  Each candidate is picked once, so
-    each run descends alone, outside any lane.
+    no run is given a `Lane` and each descends alone.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -180,8 +179,8 @@ def priv_tune(
 
     The run list is the K drawn candidate indices, one integer array; a
     candidate no draw picks is never projected or run.  The picked
-    candidates run one at a time, each its runs together in lanes
-    (`_private_select`).
+    candidates run one at a time, each handing its runs one `Lane`, in
+    which `ngd` descends them together (`_private_select`).
 
     Each run and its Gaussian score release share mu as in a one-candidate
     `per_candidate_budget` split; the end-to-end privacy is reported through
@@ -222,10 +221,10 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     to lift its model to d (`optimizer.lift_model`); an identity winner is
     returned as built.  The candidate returned is the caller's own.
 
-    A candidate's run indices split into consecutive lanes of
-    `optimizer.lane_width` columns, read from n, its k and the T of a run at
-    `base_mu`; each lane is dropped when the next begins.  A candidate
-    picked once, and any whose runs take the Gram form, runs alone.
+    A candidate picked more than once gives its runs one `optimizer.Lane`,
+    which holds their indices; `ngd` picks the lane width from the n, k and
+    T it resolves, and each run descends with its lane mates.  The lane goes
+    with the candidate's rows.  A candidate picked once runs alone.
 
     Only runs on non-JL candidates read the training set's G
     (`Dataset.gram`).  G is released after the last picked such candidate,
@@ -241,20 +240,15 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     try:
         for j in chosen:
             # drop the last candidate's rows and lane before projecting
-            cand, lane, runs = candidates[j], None, np.flatnonzero(picks == j)
+            cand, lane, runs = candidates[j], None, np.flatnonzero(picks == j).tolist()
             cand = replace(cand, rows=project_rows(cand.phi, dataset)
                            if isinstance(cand.phi, JlMatrix) else dataset)
-            width = 1
-            if len(runs) > 1:
-                T = run_length(dataset.n, base_mu, cap=cap)
-                width = lane_width(dataset.n, cand.phi.k, T)
-            for members in np.split(runs, range(width, len(runs), width)):
-                lane = Lane(key, members, width) if width > 1 else None
-                for column, i in enumerate(members.tolist()):
-                    model = base(cand, base_mu, SelectionRun(key, i, cap, lane, column))
-                    noisy = score(model, cand.rows, spec) + noise[i]
-                    if best is None or (noisy, i) < best[:2]:
-                        best = (noisy, i, model)
+            lane = Lane(key, runs) if len(runs) > 1 else None
+            for i in runs:
+                model = base(cand, base_mu, SelectionRun(key, i, cap, lane))
+                noisy = score(model, cand.rows, spec) + noise[i]
+                if best is None or (noisy, i) < best[:2]:
+                    best = (noisy, i, model)
             if j == last_gram:
                 dataset.release_gram()
         del cand, lane  # the last candidate's rows go before the lift

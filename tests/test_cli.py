@@ -11,7 +11,7 @@ import pytest
 
 from dpmargin.cli import main
 from dpmargin.data import load_dataset
-from dpmargin.privacy import SECRET_SEED
+from dpmargin.privacy import ROW_SCALING, SECRET_SEED
 
 
 def run(capsys, *argv):
@@ -458,6 +458,21 @@ def test_model_file_and_privacy_report_state_the_secret_seed_assumption(tmp_path
                           "--delta", "1e-5", "--tuner", tuner)
     assert code == 0 and f"secret_seed: {SECRET_SEED}" in stdout.splitlines()
     assert "published seed voids the guarantee" in SECRET_SEED
+
+
+@pytest.mark.parametrize("tuner", ["iterate", "priv-tune"])
+def test_model_file_and_privacy_report_state_how_train_scales_rows(tmp_path, capsys, tuner):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run(capsys, "synth", "--n", "30", "--d", "5", "--gamma", "0.4", "--seed", "2",
+        "--out", str(data))
+    code, _, _ = run(capsys, "train", "--dataset", str(data), "--epsilon", "1",
+                     "--delta", "1e-5", "--tuner", tuner, "--seed", "3", "--out", str(model))
+    assert code == 0
+    assert json.loads(model.read_text())["ledger"]["row_scaling"] == ROW_SCALING
+    code, stdout, _ = run(capsys, "privacy-report", "--n", "30", "--epsilon", "1",
+                          "--delta", "1e-5", "--tuner", tuner)
+    assert code == 0 and f"row_scaling: {ROW_SCALING}" in stdout.splitlines()
+    assert "x/||x||" in ROW_SCALING and "keeps its caller's norm_bound" in ROW_SCALING
 
 
 def test_privacy_report_grid_contradicting_n_exit_2(capsys):

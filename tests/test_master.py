@@ -304,8 +304,8 @@ def test_master_priv_tune_makes_one_jlgd_and_one_ngd_call_per_run(monkeypatch):
     from dpmargin.optimizer import run_length
     from dpmargin.tuning import TnbDist, sample_tnb
 
-    calls, steps, members = Counter(), [], {}
-    jlgd, ngd = master_mod.jlgd, optimizer.ngd
+    calls, steps, members, widths = Counter(), [], {}, Counter()
+    jlgd, ngd, descend = master_mod.jlgd, optimizer.ngd, optimizer._feature_descent
 
     def counted_jlgd(*args, **kwargs):
         calls["jlgd"] += 1
@@ -314,13 +314,18 @@ def test_master_priv_tune_makes_one_jlgd_and_one_ngd_call_per_run(monkeypatch):
     def counted_ngd(*args, **kwargs):
         calls["ngd"] += 1
         run = kwargs["seed"]
-        members[run.lane] = len(run.lane.members)
+        members[run.lane] = len(run.lane.runs)
         model = ngd(*args, **kwargs)
         steps.append(model.provenance.schedule.T)
         return model
 
+    def counted_descent(signed, c, T, sigma, eta, averaging, draw, width=1):
+        widths[width] += 1
+        return descend(signed, c, T, sigma, eta, averaging, draw, width)
+
     monkeypatch.setattr(master_mod, "jlgd", counted_jlgd)
     monkeypatch.setattr(optimizer, "ngd", counted_ngd)
+    monkeypatch.setattr(optimizer, "_feature_descent", counted_descent)
     ds = small_synth(n=40, d=6, gamma=0.4, seed=11)
     cfg = MasterConfig(epsilon=2.0, delta=1e-6, tuner="priv_tune", seed=5)
     dp_adaptive_margin(ds, cfg)
@@ -330,8 +335,10 @@ def test_master_priv_tune_makes_one_jlgd_and_one_ngd_call_per_run(monkeypatch):
     assert k_runs > 1000 and T > 1
     assert calls == {"jlgd": k_runs, "ngd": k_runs}
     assert len(steps) == k_runs and sum(steps) == k_runs * T
-    # the runs did descend in lanes, a candidate's full ones 128 wide
-    assert max(members.values()) == 128 and sum(members.values()) == k_runs
+    # the runs did descend in lanes 128 wide, one lane per 128 of a
+    # candidate's runs
+    assert sum(members.values()) == k_runs
+    assert widths == {128: sum(-(-m // 128) for m in members.values())}
 
 
 def replay_epsilon(x, n, delta, tuner):

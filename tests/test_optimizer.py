@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,7 +298,7 @@ def test_feature_descent_matches_the_per_step_oracle(T, noisy, averaging):
     sigma = schedule.sigma if noisy else 0.0
     rng = stream(8, NGD_NOISE)
     got = _feature_descent(ds.signed_features(), c, T, sigma, schedule.eta, averaging,
-                           lambda rows, more: rng.standard_normal((1, rows, ds.dim)))
+                           lambda rows: rng.standard_normal((1, rows, ds.dim)))
     want = noisy_descent(ds.signed_features(), c, T, sigma, schedule.eta, averaging,
                          stream(8, NGD_NOISE))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -316,7 +317,7 @@ def test_both_descent_forms_match_reference(n, k, T, c, averaged, data_seed):
     want = full_block_reference(ds, c, schedule, data_seed)[0 if averaged else 1]
     rng = stream(data_seed, NGD_NOISE)
     feature = _feature_descent(ds.signed_features(), c, T, schedule.sigma, schedule.eta,
-                               averaged, lambda rows, more: rng.standard_normal((1, rows, k)))
+                               averaged, lambda rows: rng.standard_normal((1, rows, k)))
     got = _gram_descent(ds, c, T, schedule.sigma, schedule.eta, averaged,
                         stream(data_seed, NGD_NOISE))
     for out in (feature, got):
@@ -332,66 +333,86 @@ def test_both_descent_forms_match_reference(n, k, T, c, averaged, data_seed):
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("averaging", [True, False])
 def test_lane_columns_match_the_per_step_oracle(T, noisy, averaging):
-    # five runs in a lane of eight, so three columns are inert; T = 1100
-    # spans three noise blocks, each member's stream read across all three
+    # five runs in a lane of eight, so three columns are inert; at T = 1100
+    # the descent reads three noise blocks of 512, 512 and 76 rows from the
+    # one array each member's stream filled
     ds = planted(n=60, d=5, gamma=0.3, outliers=3, seed=14)
     c = 0.1
     schedule = ngd(c, ds, mu=0.5, overrides=NgdOverrides(T=T)).provenance.schedule
     sigma = schedule.sigma if noisy else 0.0
     key = noise_key(11)
-    members = np.array([3, 4, 9, 10, 2**40])
-    lane = Lane(key, members, 8)
-    for j, index in enumerate(members):
-        got = lane.column(j, ds, (c, T, sigma, schedule.eta, averaging))
+    runs = [3, 4, 9, 10, 2**40]
+    lane = Lane(key, runs)
+    for index in runs:
+        got = lane.column(index, 8, ds, (c, T, sigma, schedule.eta, averaging))
         want = noisy_descent(ds.signed_features(), c, T, sigma, schedule.eta, averaging,
-                             fresh_block(key, int(index)))
+                             fresh_block(key, index))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert np.any(want != 0.0)
 
 
 def test_a_runs_column_bits_do_not_depend_on_its_position_or_mates():
-    # privtune-small's shape (n = 100, k = 20, T = 12, lanes of 32): run 7
-    # alone, first, in the middle and last among other runs gives the same
-    # bytes.  A property of the BLAS, which must give a GEMM column the same
-    # bits at any position; seen with OpenBLAS
+    # privtune-small's shape (n = 100, k = 20, T = 12, lanes of 32): run
+    # 1000 alone, first, in the middle and last among other runs of its lane,
+    # and in a later lane, gives the same bytes.  A property of the BLAS,
+    # which must give a GEMM column the same bits at any position; seen with
+    # OpenBLAS
     ds = planted(n=100, d=20, gamma=0.3, outliers=4, seed=21)
     c = 0.1
     schedule = ngd(c, ds, mu=0.0346, seed=0).provenance.schedule
     assert schedule.T == 12 and lane_width(ds.n, ds.dim, schedule.T) == 32
     key = noise_key(3)
-    others = np.arange(100, 131)
     columns = []
-    for position, mates in [(0, 0), (0, 31), (13, 31), (31, 31), (5, 9)]:
-        members = np.insert(others[:mates], position, 7)
-        lane = Lane(key, members, 32)
-        columns.append(lane.column(position, ds, (c, 12, schedule.sigma, schedule.eta, True)))
+    for position, mates in [(0, 0), (0, 31), (13, 31), (31, 31), (5, 9), (45, 70)]:
+        runs = [*range(100, 100 + position), 1000, *range(2000, 2000 + mates - position)]
+        lane = Lane(key, runs)
+        columns.append(lane.column(1000, 32, ds, (c, 12, schedule.sigma, schedule.eta, True)))
     assert all(col.tobytes() == columns[0].tobytes() for col in columns)
     assert np.any(columns[0] != 0.0)
 
 
+def test_lane_descends_each_lane_once_and_keeps_only_the_last():
+    ds = planted(n=60, d=5, seed=14)
+    lane = Lane(noise_key(1), list(range(10)))
+    schedule = (0.1, 12, 2.0, 0.01, True)
+    first = lane.column(0, 4, ds, schedule)
+    held = lane._weights
+    lane.column(3, 4, ds, schedule)  # the same lane, not descended again
+    assert lane._weights is held and held.shape == (5, 4)
+    lane.column(4, 4, ds, schedule)  # runs 4-7
+    assert lane._weights is not held
+    assert lane.column(0, 4, ds, schedule).tobytes() == first.tobytes()
+
+
 def test_lane_members_must_share_rows_and_schedule():
     ds = planted(n=60, d=5, seed=14)
-    lane = Lane(noise_key(1), np.arange(3), 4)
-    lane.column(0, ds, (0.1, 12, 2.0, 0.01, True))
-    # equal rows in another Dataset are the same rows
-    lane.column(1, planted(n=60, d=5, seed=14), (0.1, 12, 2.0, 0.01, True))
+    lane = Lane(noise_key(1), [0, 1, 2])
+    lane.column(0, 4, ds, (0.1, 12, 2.0, 0.01, True))
+    lane.column(1, 4, ds, (0.1, 12, 2.0, 0.01, True))
     with pytest.raises(ValueError, match="share their rows and schedule"):
-        lane.column(2, ds, (0.1, 13, 2.0, 0.01, True))
+        lane.column(2, 4, ds, (0.1, 13, 2.0, 0.01, True))
+    # equal rows in another Dataset are other rows
     with pytest.raises(ValueError, match="share their rows and schedule"):
-        lane.column(2, planted(n=60, d=5, seed=15), (0.1, 12, 2.0, 0.01, True))
-    with pytest.raises(ValueError, match="cannot hold"):
-        Lane(noise_key(1), np.arange(5), 4)
+        lane.column(2, 4, planted(n=60, d=5, seed=14), (0.1, 12, 2.0, 0.01, True))
+    with pytest.raises(ValueError, match="share their rows and schedule"):
+        lane.column(2, 4, planted(n=60, d=5, seed=15), (0.1, 12, 2.0, 0.01, True))
+    for index in (3, -1):
+        with pytest.raises(ValueError, match=f"run {index} is not in this lane"):
+            lane.column(index, 4, ds, (0.1, 12, 2.0, 0.01, True))
 
 
 def test_lane_width_is_a_power_of_two_within_the_lane_budget():
-    # privtune-small's shape gets 32; a Gram-form run or rows too wide for
-    # the budget get 1
+    # privtune-small's shape gets 32; a Gram-form run, or rows or noise too
+    # large for the budget, get 1.  The budget counts the lane's whole noise
     assert lane_width(100, 20, 12) == 32
     assert lane_width(1500, 3000, 849) == 1 and lane_width(10000, 20, 12) == 1
-    for n, k, T in [(20, 3, 2), (60, 5, 1100), (300, 20, 100), (30, 20, 1)]:
+    assert lane_width(100, 20, 1000) == 1
+    assert lane_width(20, 3, 2) == 256 and lane_width(20, 3, 600) == 4
+    assert lane_width(20, 8, 1000) == 1  # 2 under a budget of 512 noise rows
+    for n, k, T in [(20, 3, 2), (20, 3, 600), (60, 5, 1100), (300, 20, 100), (30, 20, 1)]:
         width = lane_width(n, k, T)
         assert width & (width - 1) == 0
-        assert width * max(n, min(T, 512) * k) <= 2**13 < 2 * width * max(n, min(T, 512) * k)
+        assert width * max(n, T * k) <= 2**13 < 2 * width * max(n, T * k)
 
 
 # ---------------------------------------------------------------- Gram-form reuse
@@ -571,11 +592,12 @@ def test_jlgd_real_projection_records_seed():
     ds = planted(n=40, d=30, gamma=0.4, seed=1)
     phi = sample_jl(10, 30, seed=99)
     model = jlgd(phi, 0.13, project_rows(phi, ds), mu=0.3, seed=3)
-    assert model.provenance.jl_seed == 99
+    assert model.provenance.jl_seed is None  # recorded when lifted
     assert model.provenance.k == 10
     assert model.dim == 10
     lifted = lift_model(phi, model)
-    assert lifted.dim == 30 and lifted.provenance == model.provenance
+    assert lifted.dim == 30 and lifted.provenance.jl_seed == 99
+    assert lifted.provenance == replace(model.provenance, jl_seed=99)
 
 
 def test_inlier_outlier_empirical_bound():
@@ -602,9 +624,9 @@ def test_jlgd_builds_k_dim_models_and_lift_model_one_d_dim_model(built_models):
     ds = planted(n=40, d=30, gamma=0.4, seed=1)
     phi = sample_jl(10, 30, seed=99)
     model = jlgd(phi, 0.13, project_rows(phi, ds), mu=0.3, seed=3)
-    assert built_models == [10, 10]  # ngd's model, then with the JL seed recorded
+    assert built_models == [10]  # ngd's model, as ngd built it
     lift_model(phi, model)
-    assert built_models == [10, 10, 30]
+    assert built_models == [10, 30]
 
 
 # ---------------------------------------------------------------- model type

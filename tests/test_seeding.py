@@ -1,7 +1,7 @@
 """How a seed becomes streams: every bit of the seed counts, only `_seeding`
 builds or moves generators, and a priv-tune selection derives one noise key
-and gives run i that key's counter block i, which its lane reads in turns
-with its lane mates'."""
+and gives run i that key's counter block i, which its lane reads in one go
+next to its lane mates'."""
 
 import pathlib
 import re
@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import dpmargin
-from dpmargin._seeding import (NGD_NOISE, TNB_RUNS, BlockReader, block_stream, noise_key,
-                               stream)
+from dpmargin._seeding import NGD_NOISE, TNB_RUNS, block_stream, noise_key, stream
 from dpmargin.data import synth_margin_dataset
-from dpmargin.optimizer import Lane, iteration_cap, jlgd, lane_width
+import dpmargin.optimizer as optimizer
+from dpmargin.optimizer import Lane, NgdOverrides, iteration_cap, jlgd, lane_width
 from dpmargin.projection import IdentityMap
 from dpmargin.tuning import Candidate, ScoreSpec, TnbDist, priv_tune, sample_tnb
 
@@ -52,27 +52,9 @@ def test_block_zero_of_the_noise_key_is_the_seeds_noise_stream(seed):
     assert again.tobytes() == stream(seed, NGD_NOISE).standard_normal(3).tobytes()
 
 
-def test_block_reader_resumes_each_stream_across_noise_blocks():
-    # three streams read in turns over blocks of 512, 512 and 76 rows, with
-    # another stream moving the thread's generator between the turns
-    key = noise_key(7)
-    blocks = np.array([0, 5, 2**40])
-    reader = BlockReader(key, blocks)
-    parts = []
-    for rows, more in ((512, True), (512, True), (76, False)):
-        out = np.full((4, rows, 3), 9.0)
-        reader.normals(out, more)
-        assert np.all(out[3] == 9.0)  # rows past the blocks are left alone
-        block_stream(key, 99).standard_normal(5)
-        parts.append(out[:3])
-    for j, block in enumerate(blocks):
-        got = np.concatenate([part[j] for part in parts])
-        want = block_stream(key, int(block)).standard_normal((1100, 3))
-        assert got.tobytes() == want.tobytes()
-
-
-def long_selection():
-    """A priv-tune selection of 1,000-3,000 two-step noisy descents.
+def long_selection(overrides=None):
+    """A priv-tune selection of 1,000-3,000 two-step noisy descents, their
+    schedule pinned by `overrides` when given.
 
     Returns (select, dataset, seed).  `select(runs)` appends each run's
     (candidate, run, model) to `runs` when given."""
@@ -84,7 +66,8 @@ def long_selection():
 
     def select(runs=None):
         def base(candidate, mu, run):
-            model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=run)
+            model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=run,
+                         overrides=overrides)
             if runs is not None:
                 runs.append((candidate, run, model))
             return model
@@ -99,14 +82,14 @@ def alone(ds, cand, model, key, index, width):
     """The run's descent again, alone in a lane of `width` columns."""
     sched = model.provenance.schedule
     assert sched.T == 2 and sched.sigma > 0
-    lane = Lane(key, np.array([index]), width)
-    return lane.column(0, ds, (cand.gamma / 3, sched.T, sched.sigma, sched.eta, True))
+    lane = Lane(key, [index])
+    return lane.column(index, width, ds, (cand.gamma / 3, sched.T, sched.sigma, sched.eta, True))
 
 
 def test_priv_tune_run_seeds_are_pairwise_distinct():
     # run i gets block i of the one key its selection derived, and the cap
-    # its selection read, whenever it runs; every run descends in a lane of
-    # its candidate's
+    # its selection read, whenever it runs; every run is given its
+    # candidate's lane, which holds that candidate's runs and no others
     select, _, seed = long_selection()
     runs = []
     select(runs)
@@ -114,10 +97,13 @@ def test_priv_tune_run_seeds_are_pairwise_distinct():
     runs.sort(key=lambda entry: entry[1].index)
     assert [run[:3] for _, run, _ in runs] == [(noise_key(seed), i, iteration_cap())
                                                for i in range(len(runs))]
-    owner = {}
+    owner, held = {}, {}
     for cand, run, _ in runs:
-        assert run.lane.members[run.column] == run.index
-        assert owner.setdefault(run.lane, cand) is cand  # a lane holds one candidate's runs
+        assert owner.setdefault(run.lane, cand) is cand
+        held.setdefault(run.lane, []).append(run.index)
+    assert len(held) == 3
+    for lane, indices in held.items():
+        assert lane.runs == indices
 
 
 @pytest.mark.parametrize("callers", [1, 2])
@@ -151,8 +137,7 @@ def test_priv_tune_run_weights_rebuild_from_the_seed_and_run_index():
     assert [run.index for _, run, _ in runs] == list(range(len(runs)))
     width = lane_width(ds.n, ds.dim, 2)
     assert width == 256
-    assert {run.lane.width for _, run, _ in runs} == {width}
-    assert max(len(run.lane.members) for _, run, _ in runs) > 1
+    assert max(len(run.lane.runs) for _, run, _ in runs) > width  # several lanes' worth
     for i in reversed(range(len(runs))):
         cand, _, model = runs[i]
         rebuilt = alone(ds, cand, model, noise_key(seed), i, width)
@@ -178,3 +163,23 @@ def test_priv_tune_is_bit_identical_across_threads_and_to_fresh_streams():
     for model, cand in runs[1:]:
         assert cand is runs[0][1]
         assert model.weights.tobytes() == runs[0][0].weights.tobytes()
+
+
+def test_a_lane_is_as_wide_as_its_runs_own_T_allows(monkeypatch):
+    # the base pins T = 600 where the budget gives T = 2: the lanes are sized
+    # for 600 steps (4 columns), not for 2 (256), so a lane's noise and
+    # scores stay within the lane budget
+    widths = []
+    descend = optimizer._feature_descent
+
+    def spy(signed, c, T, sigma, eta, averaging, draw, width=1):
+        widths.append((width, signed.shape[0], T, signed.shape[1]))
+        return descend(signed, c, T, sigma, eta, averaging, draw, width)
+
+    monkeypatch.setattr(optimizer, "_feature_descent", spy)
+    select, ds, _ = long_selection(NgdOverrides(T=600))
+    runs = []
+    select(runs)
+    assert all(T == 600 and width * max(n, T * k) <= 2**13 for width, n, T, k in widths)
+    assert {width for width, *_ in widths} == {lane_width(ds.n, ds.dim, 600)} == {4}
+    assert len(widths) == sum(-(-len(lane.runs) // 4) for lane in {r.lane for _, r, _ in runs})

@@ -755,9 +755,8 @@ def test_priv_tune_projects_each_reused_jl_candidate_once(callers, monkeypatch):
     monkeypatch.setattr(optimizer, "project_and_clip", spy)
 
     def alone(run):
-        """The run again, alone in a lane of its own lane's width."""
-        lane = run.lane and Lane(run.key, np.array([run.index]), run.lane.width)
-        return run._replace(lane=lane, column=0)
+        """The run again, alone in a lane of the width `ngd` gives its lane."""
+        return run._replace(lane=run.lane and Lane(run.key, [run.index]))
 
     def check():
         ds, cands = jl_fixture()
