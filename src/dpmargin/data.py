@@ -103,19 +103,19 @@ class Dataset:
         return self._signed
 
     def gram(self) -> np.ndarray:
-        """G = S S^T for the signed rows S, built on first use and then shared
-        until `release_gram`."""
+        """G = S S^T for the signed rows S (8 n^2 bytes), built on first use
+        and kept as long as the dataset.
+
+        A selection builds its own rows (`optimizer.project_rows`), so their
+        G lives and dies with them.  The lock makes callers that share a
+        dataset across threads build G once.
+        """
         with _GRAM_LOCK:
             if self._gram is None:
                 gram = self._signed @ self._signed.T
                 gram.setflags(write=False)
                 object.__setattr__(self, "_gram", gram)
             return self._gram
-
-    def release_gram(self) -> None:
-        """Drop the shared G (8 n^2 bytes); a later `gram` call builds it again."""
-        with _GRAM_LOCK:
-            object.__setattr__(self, "_gram", None)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(sorted(indices), dtype=np.intp)
@@ -412,8 +412,6 @@ def _min_norm_point(signed: np.ndarray, tol: float):
 
 def geometric_margin_oracle(dataset: Dataset, tol: float = DEFAULT_TOL) -> float:
     """Largest achievable min_i y<w,x>/||w||, within additive `tol`; 0 if none."""
-    if dataset.n < 1:
-        raise DataFormatError("need at least one point")
     margin, _ = _min_norm_point(dataset.signed_features(), tol)
     return margin
 

@@ -28,8 +28,6 @@ def empirical_risk(w, dataset: Dataset, spec: LossSpec) -> float:
     Per point, the hinge loss is max{0, 1 - y<w,x>/c} and the zero-one loss
     is 1 iff y<w,x> < 0, so an exact tie counts as correct.
     """
-    if dataset.n == 0:
-        raise DimensionError("empty dataset")
     w = np.asarray(w, dtype=np.float64)
     if w.shape[-1] != dataset.dim:
         raise DimensionError(f"weight dim {w.shape[-1]} != feature dim {dataset.dim}")

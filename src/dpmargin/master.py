@@ -7,8 +7,8 @@ optimizer ever reads a feature.  The tuner generates a picked candidate's
 entries from those one block of rows at a time to project the training
 rows once, every run of that candidate descends and is scored on the
 projected rows, and the entries are generated once more only to lift the
-winner's weights back to d.  No whole matrix is held, and the tuner
-releases the dataset's Gram matrix after its last reader.
+winner's weights back to d.  No whole matrix is held.  The rows, and any
+Gram matrix built on them, are the selection's own and go with it.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ class MasterConfig:
     def __post_init__(self):
         if self.tuner not in ("iterate", "priv_tune"):
             raise ValueError(f"unknown tuner {self.tuner!r}")
-        if self.score_kind not in ("empirical_zero_one", "penalized_population"):
-            raise ValueError(f"unknown score kind {self.score_kind!r}")
+        ScoreSpec(self.score_kind)  # refuses an unknown score kind
         if self.output_mode not in (None, "averaged", "last_iterate"):
             raise ValueError(f"unknown output mode {self.output_mode!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
@@ -122,10 +121,10 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
     mode = cfg.resolved_mode()
     spec = ScoreSpec(cfg.score_kind)
 
-    def base(candidate: Candidate, mu_run: float, run: SelectionRun) -> LinearModel:
+    def base(candidate: Candidate, rows: Dataset, mu_run: float,
+             run: SelectionRun) -> LinearModel:
         # gamma/3 is the margin-preservation target; hard-wired in master mode.
-        return jlgd(candidate.phi, candidate.gamma / 3.0, candidate.rows, mu_run,
-                    mode=mode, seed=run)
+        return jlgd(candidate.phi, candidate.gamma / 3.0, rows, mu_run, mode=mode, seed=run)
 
     ledger = budget_ledger(cfg.epsilon, cfg.delta, cfg.tuner, grid_size, n)
     # every run's T follows from n and the per-run budget: refuse one above
@@ -203,8 +202,8 @@ def creation_stamp() -> int:
 def model_from_json(text: str) -> tuple[LinearModel, dict]:
     """The model in a `train` model file and the whole document.
 
-    `weights` must be finite numbers, `d` an integer and `gamma_out`, if set,
-    a finite positive number; otherwise DataFormatError.
+    `weights` must be d finite numbers, `d` a positive integer and
+    `gamma_out`, if set, a finite positive number; otherwise DataFormatError.
     """
     try:
         doc = json.loads(text)
@@ -218,8 +217,10 @@ def model_from_json(text: str) -> tuple[LinearModel, dict]:
     weights, dim = doc["weights"], doc["d"]
     if not isinstance(weights, list) or not all(map(_finite_number, weights)):
         raise DataFormatError("model file weights must be a list of finite numbers")
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise DataFormatError(f"model file d must be an integer, got {dim!r}")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise DataFormatError(f"model file d must be a positive integer, got {dim!r}")
+    if len(weights) != dim:
+        raise DataFormatError(f"model file has {len(weights)} weights, d is {dim}")
     gamma = doc.get("gamma_out")
     if gamma is not None and not (_finite_number(gamma) and gamma > 0):
         raise DataFormatError(f"model file gamma_out must be a positive number, got {gamma!r}")

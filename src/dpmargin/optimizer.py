@@ -21,7 +21,7 @@ from .data import Dataset
 from .errors import DimensionError, ResourceError
 from .loss import hinge_sensitivity
 from .privacy import gaussian_noise_std
-from .projection import lift, project_and_clip
+from .projection import IdentityMap, lift, project_and_clip
 
 #: High-probability step-size constant log(1/beta_opt); beta_opt = 0.01.
 BETA_OPT = 0.01
@@ -282,9 +282,9 @@ def ngd(
     rebuilds w at the end; it runs when n < 2k and T is long enough to repay
     G (see `_gram_pays`).  G is built by the first run that reads it and
     kept on the dataset (`Dataset.gram`), so every Gram-form run on one
-    dataset shares it until the tuner releases it after its last reader; the
-    n x n product runs only at steps whose hinge active set differs from the
-    previous step's.
+    dataset shares it; a selection's rows, and so their G, live only as long
+    as the selection holds them (`project_rows`).  The n x n product runs
+    only at steps whose hinge active set differs from the previous step's.
     Its sums run in another order, so its weights agree with the
     feature-space form to about 1e-15 relative, not bit for bit.
     """
@@ -445,8 +445,16 @@ def _gram_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
 
 
 def project_rows(phi, dataset: Dataset) -> Dataset:
-    """The rows a JL candidate's runs descend on: `dataset` projected by phi
-    and clipped at twice its norm bound."""
+    """The rows a candidate's runs descend on, new for each call.
+
+    For a JL matrix, `dataset` projected by phi and clipped at twice its
+    norm bound; for the identity map, a new `Dataset` on `dataset`'s own
+    signed rows, not copied and not clipped again.  Any G built on the rows
+    (`Dataset.gram`) lives and dies with them.
+    """
+    if isinstance(phi, IdentityMap):
+        return Dataset.from_signed(dataset.signed_features(), dataset.labels,
+                                   dataset.norm_bound)
     return project_and_clip(phi, dataset, dataset.norm_bound)
 
 
@@ -459,12 +467,11 @@ def jlgd(
     seed: int | SelectionRun = 0,
     overrides: NgdOverrides | None = None,
 ) -> LinearModel:
-    """Run ngd on `low`, the rows in phi's k dimensions.
+    """Run ngd on `low`, the rows in phi's k dimensions
+    (`project_rows(phi, dataset)`), and return the model as `ngd` built it.
 
-    `low` is `project_rows(phi, dataset)` for a JL matrix and the dataset
-    itself for the identity map; either way the model is returned as `ngd`
-    built it.  `lift_model` takes a JL model back to d and records phi's
-    seed.  The reference-point norm is 1:
+    `lift_model` takes a JL model back to d and records phi's seed.  The
+    reference-point norm is 1:
     the analysis anchor is the normalized max-margin separator, which the
     algorithm never needs explicitly.
     """
@@ -475,7 +482,10 @@ def jlgd(
 
 def lift_model(phi, model: LinearModel) -> LinearModel:
     """A model descended on `project_rows(phi, ...)`, with its weights lifted
-    back to phi's d dimensions and phi's seed recorded."""
+    back to phi's d dimensions and phi's seed recorded; an identity-map
+    model is returned as it is."""
+    if isinstance(phi, IdentityMap):
+        return model
     prov = model.provenance
     return LinearModel(lift(phi, model.weights), phi.d,
                        Provenance(jl_seed=phi.seed, k=prov.k, schedule=prov.schedule))

@@ -10,7 +10,7 @@ than empirical risk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .data import Dataset
 from .errors import MissingContextError, ResourceError
 from .optimizer import LinearModel, Lane, SelectionRun, iteration_cap, lift_model, project_rows
 from .privacy import per_candidate_budget
-from .projection import JlMatrix
 
 #: priv_tune refuses to launch more base runs than this; read at call time.
 DEFAULT_RUN_CAP = 10**6
@@ -30,15 +29,12 @@ DEFAULT_RUN_CAP = 10**6
 class Candidate:
     """A margin value paired with its data-oblivious projection.
 
-    `rows`, set by a selection for each candidate it picks, holds the rows
-    its base runs descend on: the training set itself for the identity map,
-    and its projected, clipped rows (`optimizer.project_rows`) for a JL
-    matrix, generated a block at a time to project them.
+    It holds no data: a selection builds the rows a picked candidate's runs
+    descend on (`optimizer.project_rows`) and hands them to the base.
     """
 
     gamma: float
     phi: object  # JlMatrix or IdentityMap
-    rows: Dataset | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -109,9 +105,10 @@ def iter_tune(
     spec: ScoreSpec,
     seed: int = 0,
 ) -> tuple[LinearModel, Candidate]:
-    """Run `base(candidate, budget, run)` once per candidate at an even
-    budget split and return the noisy-score argmin.  Total GDP cost is mu.
-    The run list is `np.arange(len(candidates))`: run i reads candidate i.
+    """Run `base(candidate, rows, budget, run)` once per candidate at an
+    even budget split and return the noisy-score argmin.  Total GDP cost is
+    mu.  The run list is `np.arange(len(candidates))`: run i reads candidate
+    i, on the rows the selection built for it (`_private_select`).
 
     Run i draws its noise from its own counter block of the seed's noise
     key (`SelectionRun`), so its model follows from the seed and i alone,
@@ -179,8 +176,9 @@ def priv_tune(
 
     The run list is the K drawn candidate indices, one integer array; a
     candidate no draw picks is never projected or run.  The picked
-    candidates run one at a time, each handing its runs one `Lane`, in
-    which `ngd` descends them together (`_private_select`).
+    candidates run one at a time, as `base(candidate, rows, budget, run)`
+    on the rows the selection built for them, each handing its runs one
+    `Lane`, in which `ngd` descends them together (`_private_select`).
 
     Each run and its Gaussian score release share mu as in a one-candidate
     `per_candidate_budget` split; the end-to-end privacy is reported through
@@ -202,9 +200,9 @@ def priv_tune(
 def _private_select(base, candidates: list[Candidate], picks: np.ndarray, dataset: Dataset,
                     base_mu: float, noise_std: float, spec: ScoreSpec, seed: int):
     """Run `base` once per entry of `picks`, run i as
-    `base(candidates[picks[i]], base_mu, run)` with `run` a `SelectionRun`
-    of index i, and return the (model, candidate) pair with the least noisy
-    score.
+    `base(candidates[picks[i]], rows, base_mu, run)` with `run` a
+    `SelectionRun` of index i, and return the (model, candidate) pair with
+    the least noisy score.
 
     The score noise is drawn up front, the same draws `noisy_argmin` makes.
     The noise key, `_seeding.noise_key(seed)`, and the iteration cap are
@@ -212,49 +210,38 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     not depend on when it runs.  The picked candidates run one at a time in
     index order, each its runs in index order.
 
-    A picked candidate's rows (`Candidate.rows`) are set before its first
-    run and dropped before the next candidate's.  Its runs descend on them
-    and return k-dim models, scored on the same rows: for a clip factor
-    s > 0, sign(<w_k, s Phi z>) = sign(<Phi^T w_k, z>).  Only the best model
-    so far is kept, by (noisy score, run index), so the first index wins
-    ties, as in `noisy_argmin`.  A JL winner's matrix is generated once more
-    to lift its model to d (`optimizer.lift_model`); an identity winner is
-    returned as built.  The candidate returned is the caller's own.
+    The selection owns the rows its runs descend on, and any G built on
+    them (`Dataset.gram`).  It builds them (`optimizer.project_rows`)
+    before a picked candidate's first run, unless the previous picked
+    candidate has the same map, and drops the old rows and lane first.  So
+    the identity candidates, which come first, share one view of the
+    training rows and one G, and the caller's dataset never holds a G.  The
+    runs return k-dim models, scored on the same rows: for a clip factor
+    s > 0, sign(<w_k, s Phi z>) = sign(<Phi^T w_k, z>).  Only the best
+    model so far is kept, by (noisy score, run index), so the first index
+    wins ties, as in `noisy_argmin`.  The winner goes through
+    `optimizer.lift_model`, which generates a JL matrix once more to lift
+    the model to d.  The candidate returned is the caller's own.
 
     A candidate picked more than once gives its runs one `optimizer.Lane`,
     which holds their indices; `ngd` picks the lane width from the n, k and
-    T it resolves, and each run descends with its lane mates.  The lane goes
-    with the candidate's rows.  A candidate picked once runs alone.
-
-    Only runs on non-JL candidates read the training set's G
-    (`Dataset.gram`).  G is released after the last picked such candidate,
-    so the JL candidates after it project without G held, and again however
-    the selection ends.
+    T it resolves, and each run descends with its lane mates.  A candidate
+    picked once runs alone.
     """
     noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
     key, cap = noise_key(seed), iteration_cap()
-    chosen = np.flatnonzero(np.bincount(picks))  # np.unique would import numpy.ma
-    last_gram = max((j for j in chosen if not isinstance(candidates[j].phi, JlMatrix)),
-                    default=-1)
-    best = None  # (noisy score, run index, model)
-    try:
-        for j in chosen:
-            # drop the last candidate's rows and lane before projecting
-            cand, lane, runs = candidates[j], None, np.flatnonzero(picks == j).tolist()
-            cand = replace(cand, rows=project_rows(cand.phi, dataset)
-                           if isinstance(cand.phi, JlMatrix) else dataset)
-            lane = Lane(key, runs) if len(runs) > 1 else None
-            for i in runs:
-                model = base(cand, base_mu, SelectionRun(key, i, cap, lane))
-                noisy = score(model, cand.rows, spec) + noise[i]
-                if best is None or (noisy, i) < best[:2]:
-                    best = (noisy, i, model)
-            if j == last_gram:
-                dataset.release_gram()
-        del cand, lane  # the last candidate's rows go before the lift
-    finally:
-        dataset.release_gram()
+    best = phi = rows = lane = None  # best: (noisy score, run index, model)
+    for j in np.flatnonzero(np.bincount(picks)):  # np.unique would import numpy.ma
+        cand, runs = candidates[j], np.flatnonzero(picks == j).tolist()
+        if cand.phi != phi:
+            rows = lane = None  # drop the last rows, their G and lane before projecting
+            phi, rows = cand.phi, project_rows(cand.phi, dataset)
+        lane = Lane(key, runs) if len(runs) > 1 else None
+        for i in runs:
+            model = base(cand, rows, base_mu, SelectionRun(key, i, cap, lane))
+            noisy = score(model, rows, spec) + noise[i]
+            if best is None or (noisy, i) < best[:2]:
+                best = (noisy, i, model)
+    del rows, lane  # the last rows go before the lift
     winner = candidates[picks[best[1]]]
-    if isinstance(winner.phi, JlMatrix):
-        return lift_model(winner.phi, best[2]), winner
-    return best[2], winner
+    return lift_model(winner.phi, best[2]), winner

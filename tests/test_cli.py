@@ -328,6 +328,8 @@ def test_eval_dimension_mismatch_fails(tmp_path, capsys, small_dataset):
     {"weights": [0.0] * 8, "d": True},
     {"weights": [0.0] * 8, "d": 8, "gamma_out": "x"},
     {"weights": [0.0] * 8, "d": 8, "gamma_out": -1.0},
+    {"weights": [1.0, 2.0], "d": 3},  # fewer weights than d
+    {"weights": [], "d": 0},  # d not positive
 ])
 @pytest.mark.parametrize("json_errors", [False, True])
 def test_eval_malformed_model_file_exit_1(tmp_path, capsys, small_dataset, doc,

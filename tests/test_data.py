@@ -87,21 +87,19 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.labels, ds.labels)
 
 
-def test_gram_and_its_release_wait_for_the_gram_lock():
-    # G is built and dropped under data._GRAM_LOCK, so selections sharing a
-    # dataset on caller threads never build it twice at once or drop it mid-build
+def test_gram_waits_for_the_gram_lock():
+    # G is built under data._GRAM_LOCK, so direct `ngd` callers sharing a
+    # dataset on several threads never build it twice at once
     import dpmargin.data as data
 
     ds = make_dataset([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], [1, -1, 1])
-    for call, built in ((ds.gram, True), (ds.release_gram, False)):
-        worker = threading.Thread(target=call)
-        with data._GRAM_LOCK:
-            worker.start()
-            worker.join(timeout=0.2)
-            assert worker.is_alive()  # blocked on the lock the test holds
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert (ds._gram is not None) == built
+    worker = threading.Thread(target=ds.gram)
+    with data._GRAM_LOCK:
+        worker.start()
+        worker.join(timeout=0.2)
+        assert worker.is_alive()  # blocked on the lock the test holds
+    worker.join(timeout=10)
+    assert not worker.is_alive() and ds._gram is not None
 
 
 # ---------------------------------------------------------------- clipping

@@ -2,13 +2,14 @@ import json
 import math
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import dpmargin.master as master_mod
-from dpmargin.data import synth_margin_dataset
+from dpmargin.data import Dataset, synth_margin_dataset
 from dpmargin.errors import PrivacyBudgetError, ResourceError, SizeError
 from dpmargin.master import (
     MasterConfig,
@@ -91,25 +92,32 @@ def test_master_end_to_end_low_risk():
 
 def test_master_deterministic_across_threads(gram_calls):
     # n = 80 < 2d = 200: every base run of the second shape takes the Gram form,
-    # and its 8 identity runs share the dataset's G.  A serial run on a fresh
-    # dataset comes first; then two caller threads run the same mechanism at
-    # once on one more fresh dataset, so their first runs build G concurrently.
+    # and its 8 identity runs share one G, built on the selection's own view
+    # of the rows.  A serial run on a fresh dataset comes first; then two
+    # caller threads run the same mechanism at once on one more fresh
+    # dataset, and each builds exactly one G, on its own rows, with equal bits.
     cfg = MasterConfig(epsilon=2.0, delta=1e-6, seed=9)
     for shape in (dict(seed=6), dict(n=80, d=100, seed=6)):
         gram_calls.clear()
         ds = small_synth(**shape)
         runs = [dp_adaptive_margin(ds, cfg)]
         if ds.n < 2 * ds.dim:
-            assert len(gram_calls) == 8 and all(d is ds for d, _ in gram_calls)
+            rows = gram_calls[0][0]
+            assert len(gram_calls) == 8 and all(d is rows for d, _ in gram_calls)
             assert all(g is gram_calls[0][1] for _, g in gram_calls)
+            assert rows is not ds and rows.signed_features() is ds.signed_features()
+            assert ds._gram is None
         gram_calls.clear()
         shared = small_synth(**shape)
         runs += on_caller_threads(lambda: dp_adaptive_margin(shared, cfg))
         if ds.n < 2 * ds.dim:
-            # the first thread to finish releases G, and the other may then
-            # build it once more, with the same bits
-            assert len(gram_calls) == 16 and all(d is shared for d, _ in gram_calls)
-            assert len({id(g) for _, g in gram_calls}) <= 2
+            per_rows = {}
+            for d, g in gram_calls:
+                assert d is not shared and d.signed_features() is shared.signed_features()
+                per_rows.setdefault(id(d), set()).add(id(g))
+            assert len(gram_calls) == 16 and len(per_rows) == 2
+            assert all(len(grams) == 1 for grams in per_rows.values())
+            assert len({id(g) for _, g in gram_calls}) == 2
             assert all(np.array_equal(g, gram_calls[0][1]) for _, g in gram_calls)
             assert shared._gram is None
         for run in runs[1:]:
@@ -118,15 +126,27 @@ def test_master_deterministic_across_threads(gram_calls):
 
 
 def test_master_builds_gram_once_per_dataset(gram_calls):
-    # n = 80, d = 400: 6 identity runs on the data and 2 JL runs (k = 246,
-    # 158), each on its own projected dataset, all in the Gram form
+    # n = 80, d = 400: 6 identity runs on the selection's view of the data
+    # and 2 JL runs (k = 246, 158), each on its own projected rows, all in
+    # the Gram form.  Each selection builds its own three G, once each, and
+    # the caller's dataset holds none.
     ds = small_synth(n=80, d=400, seed=6)
-    dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, seed=9))
-    assert len(gram_calls) == 8
-    datasets = {id(d): d for d, _ in gram_calls}
-    grams = {id(g): g for _, g in gram_calls}
-    assert len(datasets) == len(grams) == 3
-    assert sum(d is ds for d, _ in gram_calls) == 6
+    cfg = MasterConfig(epsilon=2.0, delta=1e-6, seed=9)
+    selections = []
+    for _ in range(2):
+        gram_calls.clear()
+        dp_adaptive_margin(ds, cfg)
+        assert len(gram_calls) == 8
+        datasets = {id(d): d for d, _ in gram_calls}
+        grams = {id(g): g for _, g in gram_calls}
+        assert len(datasets) == len(grams) == 3 and ds._gram is None
+        identity = [(d, g) for d, g in gram_calls
+                    if d.signed_features() is ds.signed_features()]
+        assert len(identity) == 6 and all(g is identity[0][1] for _, g in identity)
+        selections.append(identity[0])
+    (first, first_gram), (second, second_gram) = selections
+    assert first is not second and first_gram is not second_gram
+    np.testing.assert_array_equal(first_gram, second_gram)
 
 
 def test_master_hinge_parameter_is_gamma_over_three(monkeypatch):
@@ -243,36 +263,47 @@ def test_master_iterate_peak_has_no_jl_matrix_term():
 @pytest.mark.parametrize("callers", [1, 2])
 @pytest.mark.parametrize("tuner", ["iterate", "priv_tune"])
 def test_master_training_gram_lives_from_its_first_to_its_last_reader(
-        gram_calls, monkeypatch, tuner, callers):
+        monkeypatch, tuner, callers):
     import dpmargin.optimizer as optimizer
 
-    # iterate: 6 identity runs on the data, then 2 JL runs; priv-tune: 1220
-    # runs on 4 identity and 2 reused JL candidates.  Every run takes the Gram
-    # form.  Each caller thread trains on a dataset of its own, at once.
+    # iterate: 6 identity runs, then 2 JL runs; priv-tune: 1220 runs on 4
+    # identity and 2 reused JL candidates.  Every run takes the Gram form.
+    # Each caller thread trains on a dataset of its own, at once, and sees
+    # only its own G, each recorded by a weakref
     caller = threading.local()
-    original = optimizer.project_and_clip
+    original_gram, original_project = Dataset.gram, optimizer.project_and_clip
 
-    def spy(phi, dataset, v):
-        caller.gram_at_projection.append(caller.ds._gram)
-        return original(phi, dataset, v)
+    def gram(self):
+        built = self._gram is None
+        g = original_gram(self)
+        identity = self.signed_features() is caller.ds.signed_features()
+        caller.grams.append((self is caller.ds, identity, built, weakref.ref(g)))
+        return g
 
-    monkeypatch.setattr(optimizer, "project_and_clip", spy)
+    def project(phi, dataset, v):
+        caller.live_at_projection.append(sum(ref() is not None for *_, ref in caller.grams))
+        return original_project(phi, dataset, v)
+
+    monkeypatch.setattr(Dataset, "gram", gram)
+    monkeypatch.setattr(optimizer, "project_and_clip", project)
 
     def train():
         ds, seed = ((small_synth(n=80, d=400, seed=6), 9) if tuner == "iterate"
                     else (small_synth(n=20, d=300, gamma=0.4, seed=3), 1))
-        caller.ds, caller.gram_at_projection = ds, []
+        caller.ds, caller.grams, caller.live_at_projection = ds, [], []
         dp_adaptive_margin(ds, MasterConfig(epsilon=2.0, delta=1e-6, tuner=tuner,
                                             seed=seed))
-        return ds, caller.gram_at_projection
+        return ds, caller.grams, caller.live_at_projection
 
-    for ds, gram_at_projection in on_caller_threads(train, callers):
-        grams = [g for d, g in gram_calls if d is ds]
-        assert grams and all(g is grams[0] for g in grams)  # built once
-        assert ds._gram is None  # and released before the mechanism returns
-        # the identity candidates come first, so every JL projection follows
-        # G's release
-        assert gram_at_projection and all(g is None for g in gram_at_projection)
+    for ds, grams, live_at_projection in on_caller_threads(train, callers):
+        assert ds._gram is None and not any(on_ds for on_ds, *_ in grams)
+        # the identity G is built once, by the first identity run
+        identity = [built for _, on_view, built, _ in grams if on_view]
+        assert identity[0] and not any(identity[1:])
+        # the identity candidates come first, and every JL projection follows
+        # the drop of every G built before it
+        assert live_at_projection and not any(live_at_projection)
+        assert all(ref() is None for *_, ref in grams)
 
 
 def test_master_ledger_composition_exact():

@@ -627,6 +627,13 @@ def test_jlgd_builds_k_dim_models_and_lift_model_one_d_dim_model(built_models):
     assert built_models == [10]  # ngd's model, as ngd built it
     lift_model(phi, model)
     assert built_models == [10, 30]
+    # the identity map's rows are the dataset's own, and its model is not lifted
+    identity = IdentityMap(30)
+    rows = project_rows(identity, ds)
+    assert rows is not ds and rows.signed_features() is ds.signed_features()
+    assert rows.norm_bound == ds.norm_bound
+    model = jlgd(identity, 0.13, rows, mu=0.3, seed=3)
+    assert lift_model(identity, model) is model and built_models == [10, 30, 30]
 
 
 # ---------------------------------------------------------------- model type

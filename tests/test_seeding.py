@@ -65,8 +65,8 @@ def long_selection(overrides=None):
     cands = [Candidate(g, IdentityMap(ds.dim)) for g in (0.2, 0.4, 0.8)]
 
     def select(runs=None):
-        def base(candidate, mu, run):
-            model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=run,
+        def base(candidate, rows, mu, run):
+            model = jlgd(candidate.phi, candidate.gamma / 3, rows, mu, seed=run,
                          overrides=overrides)
             if runs is not None:
                 runs.append((candidate, run, model))

@@ -132,7 +132,7 @@ def id_candidates(gammas, d):
 def fake_base_factory(score_map):
     """Base returning a fixed-direction model scaled so its score is canned."""
 
-    def base(candidate, mu, seed):
+    def base(candidate, rows, mu, seed):
         return score_map[candidate.gamma]
 
     return base
@@ -163,7 +163,7 @@ def test_iter_tune_single_candidate_returned_regardless_of_noise():
     ds = planted(seed=6)
     cands = id_candidates([0.4], ds.dim)
     model = aligned_model(ds)
-    picked_model, picked = iter_tune(lambda c, mu, s: model, cands, ds, mu=0.01,
+    picked_model, picked = iter_tune(lambda c, rows, mu, s: model, cands, ds, mu=0.01,
                                      spec=ScoreSpec("empirical_zero_one"), seed=0)
     assert picked is cands[0] and picked_model is model
 
@@ -182,7 +182,7 @@ def test_iter_tune_noise_std_audit(monkeypatch):
     ds = planted(seed=7)
     cands = id_candidates([0.2, 0.4, 0.8], ds.dim)
     mu = 0.7
-    iter_tune(lambda c, m, s: aligned_model(ds), cands, ds, mu,
+    iter_tune(lambda c, rows, m, s: aligned_model(ds), cands, ds, mu,
               ScoreSpec("empirical_zero_one"), seed=1)
     assert seen["noise_std"] == pytest.approx(math.sqrt(2 * 3) / mu, rel=1e-12)
 
@@ -192,7 +192,7 @@ def test_iter_tune_budget_split_passed_to_base():
     cands = id_candidates([0.2, 0.4], ds.dim)
     budgets = []
 
-    def base(candidate, mu, seed):
+    def base(candidate, rows, mu, seed):
         budgets.append(mu)
         return aligned_model(ds)
 
@@ -205,7 +205,7 @@ def test_iter_tune_deterministic_and_thread_invariant():
     cands = id_candidates([0.1, 0.2, 0.4, 0.8], ds.dim)
     seeds_seen = {}
 
-    def base(candidate, mu, seed):
+    def base(candidate, rows, mu, seed):
         seeds_seen.setdefault(candidate.gamma, seed)
         rng = np.random.default_rng(seed[:3])  # the run's key, index and cap
         return LinearModel(rng.standard_normal(ds.dim), ds.dim,
@@ -226,7 +226,7 @@ def test_iter_tune_picks_clearly_best_candidate():
     cands = id_candidates([0.1, 0.2, 0.4], ds.dim)
     table = dict(zip([0.1, 0.2, 0.4], models))
 
-    def base(candidate, mu, seed):
+    def base(candidate, rows, mu, seed):
         return table[candidate.gamma]
 
     # noise std = sqrt(6)/mu ~ 2.4 << the 40-error gap
@@ -336,7 +336,7 @@ def test_priv_tune_k_one_returns_single_run():
     seed = find_seed_with_k(dist, 1)
     calls = []
 
-    def base(candidate, mu, s):
+    def base(candidate, rows, mu, s):
         calls.append(candidate.gamma)
         return aligned_model(ds)
 
@@ -359,7 +359,7 @@ def test_priv_tune_per_run_noise_std(monkeypatch):
     monkeypatch.setattr(tun, "score_noise", spy)
     ds = planted(seed=12)
     mu = 0.4
-    priv_tune(lambda c, m, s: aligned_model(ds), id_candidates([0.2, 0.4], ds.dim),
+    priv_tune(lambda c, rows, m, s: aligned_model(ds), id_candidates([0.2, 0.4], ds.dim),
               TnbDist(1, 0.3), ds, mu, ScoreSpec("empirical_zero_one"), seed=1)
     assert seen["noise_std"] == pytest.approx(math.sqrt(2) / mu, rel=1e-12)
 
@@ -368,7 +368,7 @@ def test_priv_tune_base_budget_is_mu_over_sqrt2():
     ds = planted(seed=13)
     budgets = []
 
-    def base(candidate, mu, s):
+    def base(candidate, rows, mu, s):
         budgets.append(mu)
         return aligned_model(ds)
 
@@ -388,14 +388,14 @@ def test_priv_tune_run_cap(monkeypatch):
     monkeypatch.setattr(tun, "DEFAULT_RUN_CAP", 10)
     with pytest.raises(ResourceError,
                        match=rf"K = {k_runs} base runs, above the cap of 10; .*--tuner iterate"):
-        priv_tune(lambda c, m, s: aligned_model(ds), id_candidates([0.2], ds.dim),
+        priv_tune(lambda c, rows, m, s: aligned_model(ds), id_candidates([0.2], ds.dim),
                   dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed)
 
 
 def test_priv_tune_deterministic():
     ds = planted(seed=15)
 
-    def base(candidate, mu, s):
+    def base(candidate, rows, mu, s):
         rng = np.random.default_rng(s[:3])  # the run's key, index and cap
         return LinearModel(rng.standard_normal(ds.dim), ds.dim, Provenance(k=ds.dim))
 
@@ -456,9 +456,9 @@ def test_tuner_noise_scales_come_from_privacy_module(monkeypatch):
 
     ds = planted(seed=30)
     cands = id_candidates([0.2, 0.4], ds.dim)
-    iter_tune(lambda c, m, s: aligned_model(ds), cands, ds, 0.5,
+    iter_tune(lambda c, rows, m, s: aligned_model(ds), cands, ds, 0.5,
               ScoreSpec("empirical_zero_one"), seed=1)
-    priv_tune(lambda c, m, s: aligned_model(ds), cands, TnbDist(1, 0.4), ds, 0.5,
+    priv_tune(lambda c, rows, m, s: aligned_model(ds), cands, TnbDist(1, 0.4), ds, 0.5,
               ScoreSpec("empirical_zero_one"), seed=1)
     assert len(injected) == 2
     assert all(std in produced for std in injected)
@@ -469,7 +469,7 @@ def test_tuner_noise_scales_come_from_privacy_module(monkeypatch):
 def random_model_base(ds):
     """Base whose model depends only on the run seed."""
 
-    def base(candidate, mu, s):
+    def base(candidate, rows, mu, s):
         rng = np.random.default_rng(s[:3])  # the run's key, index and cap
         return LinearModel(rng.standard_normal(ds.dim), ds.dim, Provenance(k=ds.dim))
 
@@ -485,8 +485,8 @@ def test_priv_tune_holds_few_models_at_once():
     live = weakref.WeakValueDictionary()  # models are unhashable, so key by seed
     peak = [0]
 
-    def base(candidate, mu, s):
-        model = make(candidate, mu, s)
+    def base(candidate, rows, mu, s):
+        model = make(candidate, rows, mu, s)
         live[s] = model
         peak[0] = max(peak[0], len(live))
         return model
@@ -508,12 +508,12 @@ def test_priv_tune_models_own_their_weights_and_lanes_close_one_at_a_time():
     live = weakref.WeakSet()  # the lanes alive
     lanes, peak, models = [0], [0], []
 
-    def base(candidate, mu, s):
+    def base(candidate, rows, mu, s):
         if s.lane not in live:
             live.add(s.lane)
             lanes[0] += 1
         peak[0] = max(peak[0], len(live))
-        model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
+        model = jlgd(candidate.phi, candidate.gamma / 3, rows, mu, seed=s)
         models.append(model)
         return model
 
@@ -533,7 +533,7 @@ def test_streamed_selection_matches_noisy_argmin(callers):
 
     def reference(runs, noise_std, seed):
         seeds = [SelectionRun(noise_key(seed), i, iteration_cap()) for i in range(len(runs))]
-        models = [base(c, None, s) for c, s in zip(runs, seeds)]
+        models = [base(c, ds, None, s) for c, s in zip(runs, seeds)]
         scores = [score(m, ds, spec) for m in models]
         pick = noisy_argmin(scores, noise_std, stream(seed, SCORE_NOISE))
         return models[pick], runs[pick]
@@ -567,8 +567,8 @@ def rows_base(runs=None):
     """The master's base run: jlgd on the candidate's rows.  Appends each
     run's (candidate, budget, run, model) to `runs` when given."""
 
-    def base(candidate, mu, s):
-        model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
+    def base(candidate, rows, mu, s):
+        model = jlgd(candidate.phi, candidate.gamma / 3, rows, mu, seed=s)
         if runs is not None:
             runs.append((candidate, mu, s, model))
         return model
@@ -584,7 +584,8 @@ def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
     # in one selection, by either tuner, each picked JL matrix is generated
     # once, just before its candidate's first run, to project the rows, and
     # once more, after the last run, only if its candidate wins; the identity
-    # candidate's rows are the training set's own.  Each caller thread
+    # candidate's rows are a new dataset on the training set's own signed
+    # rows, neither copied nor clipped again.  Each caller thread
     # selects among candidates of its own, at once, and reads only the
     # generations and projections of its own matrices.
     caller = threading.local()
@@ -611,12 +612,14 @@ def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
             return [phi for phi in list(jl_generations)
                     if any(phi is c.phi for c in cands)]
 
-        def base(candidate, mu, s):
+        def base(candidate, rows, mu, s):
             if candidate.gamma not in at_first_run:
                 at_first_run[candidate.gamma] = generated()
-            assert candidate.rows.dim == candidate.phi.k
-            assert (candidate.rows is ds) == isinstance(candidate.phi, IdentityMap)
-            return jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
+            assert rows.dim == candidate.phi.k and rows is not ds
+            identity = isinstance(candidate.phi, IdentityMap)
+            assert (rows.signed_features() is ds.signed_features()) == identity
+            assert (rows.norm_bound == ds.norm_bound) == identity
+            return jlgd(candidate.phi, candidate.gamma / 3, rows, mu, seed=s)
 
         spec = ScoreSpec("empirical_zero_one")
         if tuner == "iterate":
@@ -650,10 +653,10 @@ def test_priv_tune_generates_each_reused_jl_matrix_once_before_the_first_run(
 def test_priv_tune_holds_one_jl_candidate_at_a_time_and_no_gram_in_its_runs(monkeypatch):
     import dpmargin.optimizer as optimizer
 
-    # identity runs in the Gram form build the training set's G; the JL
-    # candidates after them, each run several times in lanes, hold their
-    # projected rows one at a time, also while the next one projects, with
-    # G already released
+    # identity runs in the Gram form build one G on the selection's view of
+    # the training rows; the JL candidates after them, each run several
+    # times in lanes, hold their projected rows one at a time, also while the
+    # next one projects, with the identity rows and their G already dropped
     ds = planted(n=40, d=30, seed=20)
     cands = [Candidate(0.1, IdentityMap(30)),
              Candidate(0.4, sample_jl(10, 30, seed=1)),
@@ -667,29 +670,35 @@ def test_priv_tune_holds_one_jl_candidate_at_a_time_and_no_gram_in_its_runs(monk
 
     seed = next(s for s in range(200) if uses(s).min() > 1)
     held_rows = weakref.WeakValueDictionary()  # id -> rows, while they live
-    peak, grams, jl_grams, jl_lanes = [0, 0], [], [], []
+    gram = []  # a weakref to the identity rows' G, once built
+    peak, identity_runs, jl_grams, jl_lanes = [0, 0], [0], [], []
     original = optimizer.project_and_clip
 
     def spy(phi, dataset, v):
         peak[1] = max(peak[1], len(held_rows) + 1)  # the rows being projected
+        jl_grams.append(gram[0]())
         return original(phi, dataset, v)
 
     monkeypatch.setattr(optimizer, "project_and_clip", spy)
 
-    def base(candidate, mu, s):
-        if candidate.rows is not ds:
-            held_rows[id(candidate.rows)] = candidate.rows
-            jl_grams.append(ds._gram)
-            jl_lanes.append(s.lane is not None)  # not the lane: it holds the rows
+    def base(candidate, rows, mu, s):
+        held_rows[id(rows)] = rows
         peak[0] = max(peak[0], len(held_rows))
-        model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
-        if candidate.rows is ds:
-            grams.append(ds._gram)
-        return model
+        if isinstance(candidate.phi, IdentityMap):
+            model = jlgd(candidate.phi, candidate.gamma / 3, rows, mu, seed=s)
+            if not gram:
+                gram.append(weakref.ref(rows._gram))
+            assert rows._gram is gram[0]()  # one shared G
+            identity_runs[0] += 1
+            return model
+        jl_grams.append(gram[0]())
+        jl_lanes.append(s.lane is not None)  # not the lane: it holds the rows
+        return jlgd(candidate.phi, candidate.gamma / 3, rows, mu, seed=s)
 
     priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed)
-    assert grams[0] is not None and all(g is grams[0] for g in grams)  # one shared G
-    assert len(jl_grams) == uses(seed)[1:].sum() and all(g is None for g in jl_grams)
+    assert identity_runs[0] == uses(seed)[0]
+    # two projections, then every JL run: none sees the identity G alive
+    assert len(jl_grams) == 2 + uses(seed)[1:].sum() and all(g is None for g in jl_grams)
     assert all(jl_lanes)
     assert peak == [1, 1] and ds._gram is None
 
@@ -717,22 +726,28 @@ def test_priv_tune_peak_holds_no_whole_jl_matrix():
 
 def test_iter_tune_releases_gram_when_a_run_fails():
     # three identity candidates in the Gram form (T = 6,667): the first run
-    # builds G, the second raises, and G must not stay on the dataset
+    # builds G on the selection's rows, and the second raises.  The held
+    # traceback keeps the failing selection's frame, and so its rows and G,
+    # alive; once it is dropped, G is unreachable, and the caller's dataset
+    # never held one
     ds = synth_margin_dataset(40, 60, 0.3, 0, seed=1)[0]
-    calls = []
+    calls, grams = [], []
 
-    def base(candidate, mu, s):
+    def base(candidate, rows, mu, s):
         calls.append(s)
         if len(calls) == 2:
             raise RuntimeError("second run fails")
-        model = jlgd(candidate.phi, candidate.gamma / 3, candidate.rows, mu, seed=s)
-        assert model.provenance.schedule.T == 6667 and ds._gram is not None
+        model = jlgd(candidate.phi, candidate.gamma / 3, rows, mu, seed=s)
+        assert model.provenance.schedule.T == 6667
+        grams.append(weakref.ref(rows._gram))
         return model
 
-    with pytest.raises(RuntimeError, match="second run fails"):
+    with pytest.raises(RuntimeError, match="second run fails") as failure:
         iter_tune(base, id_candidates([0.2, 0.4, 0.8], ds.dim), ds, 5.0,
                   ScoreSpec("empirical_zero_one"), seed=0)
-    assert len(calls) == 2 and ds._gram is None
+    assert len(calls) == 2 and len(grams) == 1 and grams[0]() is not None
+    del failure
+    assert grams[0]() is None and ds._gram is None
 
 
 @pytest.mark.parametrize("callers", [1, 2])
@@ -794,7 +809,7 @@ def test_streamed_selection_first_index_wins_ties(callers):
     cands = id_candidates([0.1, 0.2, 0.4, 0.8], ds.dim)
     w = np.ones(ds.dim)
 
-    def base(candidate, mu, s):
+    def base(candidate, rows, mu, s):
         return LinearModel(w, ds.dim, Provenance(k=ds.dim))
 
     def select():
@@ -810,7 +825,7 @@ def test_selection_stops_at_the_first_failing_score():
     cands = id_candidates([0.1] * 400, ds.dim)
     calls = []
 
-    def base(candidate, mu, s):
+    def base(candidate, rows, mu, s):
         calls.append(s)
         return LinearModel(np.ones(ds.dim), ds.dim)  # no k: penalized score fails
 
