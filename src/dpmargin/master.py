@@ -123,8 +123,7 @@ def dp_adaptive_margin(dataset: Dataset, cfg: MasterConfig) -> MasterResult:
 
     def base(candidate: Candidate, rows: Dataset, mu_run: float,
              run: SelectionRun) -> LinearModel:
-        # gamma/3 is the margin-preservation target; hard-wired in master mode.
-        return jlgd(candidate.phi, candidate.gamma / 3.0, rows, mu_run, mode=mode, seed=run)
+        return jlgd(candidate.phi, candidate.c, rows, mu_run, mode=mode, seed=run)
 
     ledger = budget_ledger(cfg.epsilon, cfg.delta, cfg.tuner, grid_size, n)
     # every run's T follows from n and the per-run budget: refuse one above

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from ._seeding import NGD_NOISE, block_stream, stream
+from ._seeding import NGD_NOISE, block_stream, position, resume, stream
 from .data import Dataset
 from .errors import DimensionError, ResourceError
 from .loss import hinge_sensitivity
@@ -28,7 +28,6 @@ BETA_OPT = 0.01
 
 _NOISE_BLOCK = 512
 _DEFAULT_T_CAP = 10**7
-_LANE_NUMBERS = 2**13  # the most numbers one lane array may hold
 
 
 def env_int(name: str, default, least: int):
@@ -72,9 +71,10 @@ class SelectionRun(NamedTuple):
 
     The run draws its noise from `_seeding.block_stream(key, index)`, `key`
     being `noise_key` of the selection's seed, and holds its T to `cap`, the
-    iteration cap its selection read once.  A run given a `lane` may descend
-    with the lane's other runs (`Lane`).  Its bits follow from key, index
-    and its lane's runs alone, so a selection may run its runs in any order.
+    iteration cap its selection read once.  A run given a `lane` descends
+    with the other runs on its rows (`Lane`), in the lane's order.  Its bits
+    follow from key, index, its c and its lane's width alone, not from its
+    lane mates or its place among them.
     """
 
     key: int
@@ -84,73 +84,121 @@ class SelectionRun(NamedTuple):
 
 
 class Lane:
-    """Runs of one candidate that `ngd` may descend together.
+    """Runs on one set of rows that `ngd` descends together, W at a time.
 
-    `runs` lists the runs' indices in their selection, in increasing order.
-    `ngd` picks the width W from the n, k and T it resolves (`lane_width`);
-    at W > 1 the run at position p of `runs` descends in lane p // W, the
-    runs at positions W (p // W) onwards, at most W of them, with run j of
-    the lane in column j.  The columns past the lane's runs are inert, with
-    zero noise, so a run's bits depend on neither its lane mates nor their
-    number.  The runs share their rows (the same `Dataset`) and schedule.
-    The first run of a lane to reach `ngd` descends the whole lane, reading
-    the lane's run i's noise from `block_stream(key, i)` in one go, and each
-    run then takes a copy of its own column.  Only the last lane descended
-    keeps its weights.
+    `members` yields each run's (index in its selection, hinge parameter c)
+    in the order the runs reach `ngd`, which refuses a run that comes out of
+    that order.  The runs bring the same rows (the same `Dataset`) and the
+    same (mu, mode, overrides, cap), so they differ only in c: each run's
+    schedule (T, sigma, eta) is resolved once per distinct c, and T, which
+    does not depend on c, is shared.  `ngd` reads the width W from the n, k
+    and T (`lane_width`).  The first run of each lane takes the next W
+    members and descends them together, member j in column j with its own
+    c, sigma and eta (`_feature_descent`), reading member i's noise from
+    `block_stream(key, i)` a block of rows at a time (`_lane_noise`); each
+    run then takes a copy of its own column.  Columns past the last member
+    are inert, with zero noise, so a run's bits depend on neither its lane
+    mates nor their number.  At W = 1, which the Gram form always gets, each
+    run descends alone.
+
+    The lane holds only the members and weights of the lane it descended
+    last, and one schedule per distinct c: O(W) state, whatever the number
+    of runs.
     """
 
-    def __init__(self, key: int, runs: list[int]):
+    def __init__(self, key: int, members):
         self.key = key
-        self.runs = runs
-        self._descent = None  # (rows, schedule) the runs descend with
-        self._start = None  # position in `runs` of the lane held in _weights
+        self._members = iter(members)
+        self._inputs = None  # (rows, mu, mode, overrides, cap) every run brings
+        self._schedules = {}  # c -> (T, sigma, eta)
+        self._held = []  # (index, c) of the lane descended last, by column
+        self._next = 0  # the column of the next run to arrive
         self._weights = None  # k x W
 
-    def column(self, index: int, width: int, dataset: Dataset, schedule: tuple) -> np.ndarray:
-        """Run `index`'s weights in a lane `width` columns wide, for
-        `schedule` = (c, T, sigma, eta, averaging)."""
-        if self._descent is None:
-            self._descent = (dataset, schedule)
-        elif self._descent[0] is not dataset or self._descent[1] != schedule:
-            raise ValueError("the runs of a lane must share their rows and schedule")
-        position = bisect_left(self.runs, index)
-        if position == len(self.runs) or self.runs[position] != index:
-            raise ValueError(f"run {index} is not in this lane")
-        start = position - position % width
-        if self._start != start:
-            self._weights = None  # drop the last lane before descending the next
-            self._weights = self._descend(self.runs[start:start + width], width, dataset,
-                                          *schedule)
-            self._start = start
-        return self._weights[:, position - start].copy()
+    def column(self, index: int, c: float, inputs: tuple) -> tuple[np.ndarray, tuple]:
+        """Run `index`'s weights and (T, sigma, eta), for a run at `c` whose
+        schedule follows from `inputs` = (rows, mu, mode, overrides, cap)."""
+        if self._inputs is None:
+            self._inputs = inputs
+        elif inputs[0] is not self._inputs[0] or inputs[1:] != self._inputs[1:]:
+            raise ValueError("the runs of a lane must share their rows and schedule inputs")
+        if self._next == len(self._held):  # the lane descended last is used up
+            self._held, self._next, self._weights = [next(self._members, None)], 0, None
+        if self._held[self._next] != (index, c):
+            raise ValueError(f"run {index} at c = {c} is not this lane's next run")
+        if self._weights is None:
+            self._descend()
+        self._next += 1
+        return self._weights[:, self._next - 1].copy(), self._schedule(c)
 
-    def _descend(self, members, width, dataset, c, T, sigma, eta, averaging):
-        def blocks():
-            noise = np.zeros((width, T, dataset.dim))
-            for j, index in enumerate(members):
-                block_stream(self.key, index).standard_normal(out=noise[j])
-            for start in range(0, T, _NOISE_BLOCK):
-                yield noise[:, start:start + _NOISE_BLOCK]
+    def _schedule(self, c):
+        if c not in self._schedules:
+            self._schedules[c] = _resolve(c, *self._inputs)
+        return self._schedules[c]
 
-        draws = blocks()  # drawn on the first noise block's request
-        return _feature_descent(dataset.signed_features(), c, T, sigma, eta, averaging,
-                                lambda rows: next(draws), width)
+    def _descend(self):
+        rows, _, mode, _, _ = self._inputs
+        averaging = mode == "averaged"
+        T = self._schedule(self._held[0][1])[0]
+        width = lane_width(rows.n, rows.dim, T)
+        self._held += islice(self._members, width - 1)
+        if width == 1:
+            index, c = self._held[0]
+            _, sigma, eta = self._schedule(c)
+            out = _descend_alone(rows, c, T, sigma, eta, averaging, block_stream(self.key, index))
+            self._weights = out[:, None]
+            return
+        schedules = [(c, *self._schedule(c)[1:]) for _, c in self._held]
+        first_c, _, first_eta = schedules[0]
+        schedules += [(first_c, 0.0, first_eta)] * (width - len(schedules))  # inert
+        c, sigma, eta = np.array(schedules).T
+        draw = _lane_noise(self.key, [index for index, _ in self._held], width, rows.dim, T)
+        self._weights = _feature_descent(rows.signed_features(), c, T, sigma, eta, averaging,
+                                         draw, width)
+
+
+def _lane_noise(key: int, indices: list[int], width: int, k: int, T: int):
+    """`draw` for a lane's descent: each call fills member j's next `rows`
+    noise rows from `block_stream(key, indices[j])`, into one array of
+    width x (512 // width) x k, never larger than a lone run's 512 x k
+    block.  Between calls each member's place in its stream is saved and
+    restored (`_seeding.position`, `resume`), and saved only when more rows
+    follow, so a lane of runs no longer than one block draws as a lone
+    run's stream would, with no saved place.  The members past `indices`
+    keep zero rows."""
+    noise = np.zeros((width, min(T, _NOISE_BLOCK // width), k))
+    places = [None] * len(indices)
+    drawn = 0
+
+    def draw(rows):
+        nonlocal drawn
+        drawn += rows
+        for j, index in enumerate(indices):
+            rng = block_stream(key, index) if places[j] is None else resume(places[j])
+            rng.standard_normal(out=noise[j, :rows])
+            if drawn < T:
+                places[j] = position(rng)
+        return noise[:, :rows]
+
+    return draw
 
 
 def lane_width(n: int, k: int, T: int) -> int:
     """Columns of a lane of T-step runs on n x k rows.
 
     1 where the Gram form runs (`_gram_pays`), which descends alone;
-    otherwise the largest power of two that keeps each lane array, the
-    n x W scores and the lane's whole noise of T x k x W, within 2^13
-    numbers: 32 at n = 100, k = 20, T = 12.  A lane's arrays are what
-    batching adds to a selection's peak memory: there, widths 64 and 128
-    add 0.7 and 1.1 MB to a 39 MB `train`, against 0.45 MB at 32, and
-    train no measurably faster (2-vCPU x86 host, OpenBLAS, one thread).
+    otherwise the largest power of two up to 32 that keeps the lane's
+    n x W scores and each k x W array within 2^15 numbers: 8 at n = 4000,
+    k = 20 and 32 at n = 100, k = 20.  A lane's noise is drawn 512 // W
+    rows at a time, so its size does not depend on T.  `_feature_descent`
+    at n = 4000, k = 20 on one BLAS thread (OpenBLAS, 2-vCPU x86 host) took
+    48.5 / 137 / 368 / 359 / 695 us a step at W = 1 / 8 / 13 / 16 / 32,
+    so 13 runs go faster as two lanes of 8 than as one lane of 13 or 16;
+    at n = 100 widths above 32 were no faster.
     """
     if _gram_pays(n, k, T):
         return 1
-    fit = _LANE_NUMBERS // max(n, T * k)
+    fit = min(32, 2**15 // max(n, k))
     return 1 << max(0, fit.bit_length() - 1)
 
 
@@ -257,19 +305,19 @@ def ngd(
     Returns the averaged iterate (1/T) sum_{t<T} w_t or the last iterate w_T
     depending on `mode`.  Deterministic given `seed`.  Each run resolves its
     own schedule (T, sigma, eta) and form, and records the schedule in the
-    model's `provenance.schedule`.  A `SelectionRun` with a `lane` descends
-    with its lane mates in a lane `lane_width(n, k, T)` columns wide and
+    model's `provenance.schedule`.  A `SelectionRun` with a `lane` takes the
+    schedule its lane resolved for its c, descends with its lane mates, who
+    may have other c, in a lane `lane_width(n, k, T)` columns wide and
     returns its own column (`Lane`); its sums then run as matrix products,
     whose order differs from a lone run's matrix-vector products in the last
     bits.  At width 1, which the Gram form always gets, it descends alone.
 
-    A lone run draws its gradient noise from its stream in blocks of at
-    most 512 rows, none longer than the steps left, and a lane run draws its
-    T x k rows in one go, so a noisy run draws exactly T * k normals.  The
-    stream fills arrays in order, so the noise does not depend on the block
-    sizes.  An integer seed opens
-    `_seeding.stream(seed, NGD_NOISE)` and reads DPMARGIN_T_CAP; a
-    `SelectionRun` reads its selection's key at its own counter block
+    A noisy run draws exactly T * k normals from its stream: a lone run in
+    blocks of at most 512 rows, none longer than the steps left, and a lane
+    run in blocks of at most 512 // W rows.  The stream fills arrays in
+    order, so the noise does not depend on the block sizes.  An integer
+    seed opens `_seeding.stream(seed, NGD_NOISE)` and reads DPMARGIN_T_CAP;
+    a `SelectionRun` reads its selection's key at its own counter block
     (`_seeding.block_stream`) and brings the cap its selection read.  Block
     0 of a seed's key is that seed's stream, so either way runs on any
     threads draw the same numbers.
@@ -294,23 +342,31 @@ def ngd(
         raise ValueError("need n >= 2")
     if not mu > 0:
         raise ValueError("mu must be positive")
-    n, k = dataset.n, dataset.dim
-    delta_sens = hinge_sensitivity(dataset.norm_bound, c)
     run = seed if isinstance(seed, SelectionRun) else None
-    T, sigma, eta = resolve_schedule(n, k, delta_sens, mu, mode, overrides or _NO_OVERRIDES,
-                                     run.cap if run else None)
-    averaging = mode == "averaged"
-    width = lane_width(n, k, T) if run and run.lane else 1
-    if width > 1:
-        out = run.lane.column(run.index, width, dataset, (c, T, sigma, eta, averaging))
+    inputs = (dataset, mu, mode, overrides or _NO_OVERRIDES, run.cap if run else None)
+    if run and run.lane:
+        out, (T, sigma, eta) = run.lane.column(run.index, c, inputs)
     else:
+        T, sigma, eta = _resolve(c, *inputs)
         rng = block_stream(run.key, run.index) if run else stream(seed, NGD_NOISE)
-        if _gram_pays(n, k, T):
-            out = _gram_descent(dataset, c, T, sigma, eta, averaging, rng)
-        else:
-            out = _feature_descent(dataset.signed_features(), c, T, sigma, eta, averaging,
-                                   lambda rows: rng.standard_normal((1, rows, k)))
+        out = _descend_alone(dataset, c, T, sigma, eta, mode == "averaged", rng)
+    k = dataset.dim
     return LinearModel(out, k, Provenance(k=k, schedule=NgdConfig(T=T, sigma=sigma, eta=eta)))
+
+
+def _resolve(c, dataset, mu, mode, overrides, cap) -> tuple[int, float, float]:
+    """`resolve_schedule` for a run at `c` on `dataset`."""
+    return resolve_schedule(dataset.n, dataset.dim, hinge_sensitivity(dataset.norm_bound, c),
+                            mu, mode, overrides, cap)
+
+
+def _descend_alone(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
+    """One run's weights, in the form (n, k, T) picks, its noise from `rng`."""
+    n, k = dataset.n, dataset.dim
+    if _gram_pays(n, k, T):
+        return _gram_descent(dataset, c, T, sigma, eta, averaging, rng)
+    return _feature_descent(dataset.signed_features(), c, T, sigma, eta, averaging,
+                            lambda rows: rng.standard_normal((1, rows, k)))
 
 
 def _gram_pays(n: int, k: int, T: int) -> bool:
@@ -344,17 +400,22 @@ def _feature_descent(signed, c, T, sigma, eta, averaging, draw, width=1) -> np.n
     t + 1: S w_0 = 0 is never computed, and neither is S w_T.
 
     Run j is column j of x, so a step is two matrix products, (n x k)(k x W)
-    and (k x n)(n x W).  `draw(rows)` returns a width x rows x k array,
-    which the loop overwrites, whose [j] holds run j's next `rows` noise
-    rows.  At width 1 every array is a vector, and a
-    step is the two matrix-vector products of a lone run.  Returns w,
-    k x `width` (a k-vector at width 1).
+    and (k x n)(n x W).  c, sigma and eta enter a column only through its
+    noise scale c sigma, its active-set limit c^2/eta and its final scale
+    eta/c, so for W > 1 they are W-vectors, one entry per run, and each
+    column's bits are those of the same arithmetic on its own scalars.
+    `draw(rows)` returns a width x rows x k array, which the loop
+    overwrites, whose [j] holds run j's next `rows` noise rows; blocks are
+    512 // width rows.  At width 1 every array is a vector, and a step is
+    the two matrix-vector products of a lone run.  Returns w, k x `width`
+    (a k-vector at width 1).
     """
     signed_t = signed.T
     n, k = signed.shape
     scale = eta / c
     limit = c / scale
-    noisy = sigma > 0.0
+    noise_scale = np.reshape(c * sigma, (-1, 1, 1))
+    noisy = np.max(sigma) > 0.0
     columns = (width,) if width > 1 else ()
     pulls = np.zeros((k, *columns))
     x = np.empty_like(pulls) if noisy else pulls
@@ -362,15 +423,16 @@ def _feature_descent(signed, c, T, sigma, eta, averaging, draw, width=1) -> np.n
     scores = np.zeros((n, *columns))  # S x_t
     step = np.empty_like(pulls)
     drift = np.zeros((width, k))  # r at the start of the block
-    for start in range(0, T, _NOISE_BLOCK):
-        rows = min(_NOISE_BLOCK, T - start)
+    block_rows = _NOISE_BLOCK // width
+    for start in range(0, T, block_rows):
+        rows = min(block_rows, T - start)
         last = rows - 1 if start + rows == T else rows
         if noisy:
             block = draw(rows)
-            block *= c * sigma
+            block *= noise_scale
             block[:, 0] += drift
             np.cumsum(block, axis=1, out=block)  # row t is r_{start + t + 1}
-            drift = block[:, -1]
+            drift[:] = block[:, -1]  # `draw` may reuse the block's array
             noise = block[0] if width == 1 else block.transpose(1, 2, 0)
         for t in range(rows):
             active = (scores < limit).astype(np.float64)  # zero subgradient at the kink

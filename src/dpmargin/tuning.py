@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -30,11 +31,19 @@ class Candidate:
     """A margin value paired with its data-oblivious projection.
 
     It holds no data: a selection builds the rows a picked candidate's runs
-    descend on (`optimizer.project_rows`) and hands them to the base.
+    descend on (`optimizer.project_rows`) and hands them to the base.  Its
+    runs descend at the hinge parameter `c`.
     """
 
     gamma: float
     phi: object  # JlMatrix or IdentityMap
+
+    @property
+    def c(self) -> float:
+        """gamma/3, the hinge parameter of the candidate's runs: the margin
+        its projection preserves with high probability.  The base passes it
+        to `jlgd`, and a selection's `Lane` lists it for each run."""
+        return self.gamma / 3
 
 
 @dataclass(frozen=True)
@@ -112,8 +121,10 @@ def iter_tune(
 
     Run i draws its noise from its own counter block of the seed's noise
     key (`SelectionRun`), so its model follows from the seed and i alone,
-    whatever thread runs the selection.  Each candidate is picked once, so
-    no run is given a `Lane` and each descends alone.
+    whatever thread runs the selection.  Each candidate is picked once, and
+    the candidates that share a map, such as the identity candidates, which
+    come first, share one `Lane`: their runs, at equal n, k and T, descend
+    together, each at its own c (`_private_select`).
     """
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -177,8 +188,9 @@ def priv_tune(
     The run list is the K drawn candidate indices, one integer array; a
     candidate no draw picks is never projected or run.  The picked
     candidates run one at a time, as `base(candidate, rows, budget, run)`
-    on the rows the selection built for them, each handing its runs one
-    `Lane`, in which `ngd` descends them together (`_private_select`).
+    on the rows the selection built for them.  The runs on one set of rows,
+    all those of the picked candidates that share a map, share one `Lane`,
+    in which `ngd` descends them together (`_private_select`).
 
     Each run and its Gaussian score release share mu as in a one-candidate
     `per_candidate_budget` split; the end-to-end privacy is reported through
@@ -223,21 +235,27 @@ def _private_select(base, candidates: list[Candidate], picks: np.ndarray, datase
     `optimizer.lift_model`, which generates a JL matrix once more to lift
     the model to d.  The candidate returned is the caller's own.
 
-    A candidate picked more than once gives its runs one `optimizer.Lane`,
-    which holds their indices; `ngd` picks the lane width from the n, k and
-    T it resolves, and each run descends with its lane mates.  A candidate
-    picked once runs alone.
+    When it builds rows for more than one run, it builds one
+    `optimizer.Lane` for all of them, which reads each run's (index,
+    `Candidate.c`) in run order from the selection's runs, sorted by
+    candidate, as the runs reach it; `ngd` picks the lane width from the n,
+    k and T it resolves, and each run descends with its lane mates, which
+    may belong to other candidates.  A lone run on its rows gets no lane.
     """
     noise = score_noise(noise_std, len(picks), stream(seed, SCORE_NOISE))
     key, cap = noise_key(seed), iteration_cap()
-    best = phi = rows = lane = None  # best: (noisy score, run index, model)
-    for j in np.flatnonzero(np.bincount(picks)):  # np.unique would import numpy.ma
-        cand, runs = candidates[j], np.flatnonzero(picks == j).tolist()
-        if cand.phi != phi:
-            rows = lane = None  # drop the last rows, their G and lane before projecting
-            phi, rows = cand.phi, project_rows(cand.phi, dataset)
-        lane = Lane(key, runs) if len(runs) > 1 else None
-        for i in runs:
+    counts = np.bincount(picks)  # np.unique would import numpy.ma
+    order = np.argsort(picks, kind="stable")  # the runs by candidate, each in index order
+    best = rows = lane = None  # best: (noisy score, run index, model)
+    stop = 0
+    for phi, group in groupby(np.flatnonzero(counts).tolist(), lambda j: candidates[j].phi):
+        start, stop = stop, stop + int(counts[list(group)].sum())
+        rows = lane = None  # drop the last rows, their G and lane before projecting
+        rows, runs = project_rows(phi, dataset), order[start:stop]
+        if len(runs) > 1:
+            lane = Lane(key, ((i, candidates[picks[i]].c) for i in map(int, runs)))
+        for i in map(int, runs):
+            cand = candidates[picks[i]]
             model = base(cand, rows, base_mu, SelectionRun(key, i, cap, lane))
             noisy = score(model, rows, spec) + noise[i]
             if best is None or (noisy, i) < best[:2]:

@@ -327,15 +327,16 @@ def test_master_priv_tune_ledger_and_risk():
     assert training_risk(result.model, ds) <= 0.34
 
 
-def test_master_priv_tune_makes_one_jlgd_and_one_ngd_call_per_run(monkeypatch):
+@pytest.mark.parametrize("tuner", ["priv_tune", "iterate"])
+def test_master_priv_tune_makes_one_jlgd_and_one_ngd_call_per_run(tuner, monkeypatch):
     # a traced benchmark run counts one master.jlgd and one optimizer.ngd
-    # span per base run and sum T = K T steps, lanes or not
+    # span per base run and sum T = runs T steps, lanes or not
     import dpmargin.optimizer as optimizer
     from dpmargin._seeding import TNB_RUNS, stream
-    from dpmargin.optimizer import run_length
+    from dpmargin.optimizer import lane_width, run_length
     from dpmargin.tuning import TnbDist, sample_tnb
 
-    calls, steps, members, widths = Counter(), [], {}, Counter()
+    calls, steps, lanes, widths = Counter(), [], Counter(), Counter()
     jlgd, ngd, descend = master_mod.jlgd, optimizer.ngd, optimizer._feature_descent
 
     def counted_jlgd(*args, **kwargs):
@@ -344,8 +345,7 @@ def test_master_priv_tune_makes_one_jlgd_and_one_ngd_call_per_run(monkeypatch):
 
     def counted_ngd(*args, **kwargs):
         calls["ngd"] += 1
-        run = kwargs["seed"]
-        members[run.lane] = len(run.lane.runs)
+        lanes[kwargs["seed"].lane] += 1
         model = ngd(*args, **kwargs)
         steps.append(model.provenance.schedule.T)
         return model
@@ -358,18 +358,24 @@ def test_master_priv_tune_makes_one_jlgd_and_one_ngd_call_per_run(monkeypatch):
     monkeypatch.setattr(optimizer, "ngd", counted_ngd)
     monkeypatch.setattr(optimizer, "_feature_descent", counted_descent)
     ds = small_synth(n=40, d=6, gamma=0.4, seed=11)
-    cfg = MasterConfig(epsilon=2.0, delta=1e-6, tuner="priv_tune", seed=5)
+    cfg = MasterConfig(epsilon=2.0, delta=1e-6, tuner=tuner, seed=5)
     dp_adaptive_margin(ds, cfg)
-    ledger = budget_ledger(cfg.epsilon, cfg.delta, "priv_tune", len(margin_grid(ds.n)), ds.n)
-    k_runs = sample_tnb(TnbDist(1, ledger["tnb_r"]), stream(cfg.seed, TNB_RUNS))
-    T = run_length(ds.n, ledger["per_run_mu"])
-    assert k_runs > 1000 and T > 1
-    assert calls == {"jlgd": k_runs, "ngd": k_runs}
-    assert len(steps) == k_runs and sum(steps) == k_runs * T
-    # the runs did descend in lanes 128 wide, one lane per 128 of a
-    # candidate's runs
-    assert sum(members.values()) == k_runs
-    assert widths == {128: sum(-(-m // 128) for m in members.values())}
+    grid = len(margin_grid(ds.n))
+    ledger = budget_ledger(cfg.epsilon, cfg.delta, tuner, grid, ds.n)
+    if tuner == "iterate":
+        runs, T = grid, run_length(ds.n, ledger["per_candidate_mu"])
+    else:
+        runs = sample_tnb(TnbDist(1, ledger["tnb_r"]), stream(cfg.seed, TNB_RUNS))
+        T = run_length(ds.n, ledger["per_run_mu"])
+        assert runs > 1000
+    assert T > 1
+    assert calls == {"jlgd": runs, "ngd": runs}
+    assert len(steps) == runs and sum(steps) == runs * T
+    # every candidate is an identity one, so the runs share one lane and
+    # descend in lanes 32 wide, only the last padded
+    assert len(lanes) == 1 and None not in lanes
+    width = lane_width(ds.n, ds.dim, T)
+    assert width == 32 and widths == {width: -(-runs // width)}
 
 
 def replay_epsilon(x, n, delta, tuner):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmargin._seeding import NGD_NOISE, noise_key, stream
+from dpmargin._seeding import NGD_NOISE, block_stream, noise_key, stream
 from dpmargin.data import Dataset, synth_margin_dataset
 from dpmargin.errors import DimensionError, ResourceError
 from dpmargin.loss import LossSpec, empirical_risk, hinge_sensitivity
@@ -16,9 +17,12 @@ from dpmargin.optimizer import (
     NgdOverrides,
     Lane,
     Provenance,
+    SelectionRun,
     _feature_descent,
     _gram_descent,
     _gram_pays,
+    _lane_noise,
+    iteration_cap,
     jlgd,
     lane_width,
     lift_model,
@@ -329,90 +333,217 @@ def test_both_descent_forms_match_reference(n, k, T, c, averaged, data_seed):
 
 # ---------------------------------------------------------------- lanes
 
+def lane_runs(ds, key, members, mu=0.5, mode="averaged", overrides=None):
+    """{index: model} of every run in `members`, (index, c) pairs, each run
+    reaching `ngd` in order with one `Lane` over all of them."""
+    lane = Lane(key, members)
+    return {index: ngd(c, ds, mu, mode=mode, seed=SelectionRun(key, index, iteration_cap(), lane),
+                       overrides=overrides)
+            for index, c in members}
+
+
 @pytest.mark.parametrize("T", [12, 1100])
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("averaging", [True, False])
 def test_lane_columns_match_the_per_step_oracle(T, noisy, averaging):
-    # five runs in a lane of eight, so three columns are inert; at T = 1100
-    # the descent reads three noise blocks of 512, 512 and 76 rows from the
-    # one array each member's stream filled
+    # five runs with four distinct c in a lane of 32, so 27 columns are
+    # inert; at T = 1100 each member's noise comes in 69 blocks of at most
+    # 512 // 32 = 16 rows, read on from where its stream stood
     ds = planted(n=60, d=5, gamma=0.3, outliers=3, seed=14)
-    c = 0.1
-    schedule = ngd(c, ds, mu=0.5, overrides=NgdOverrides(T=T)).provenance.schedule
-    sigma = schedule.sigma if noisy else 0.0
+    assert lane_width(ds.n, ds.dim, T) == 32
+    mode = "averaged" if averaging else "last_iterate"
+    overrides = NgdOverrides(T=T, sigma=None if noisy else 0.0)
     key = noise_key(11)
-    runs = [3, 4, 9, 10, 2**40]
-    lane = Lane(key, runs)
-    for index in runs:
-        got = lane.column(index, 8, ds, (c, T, sigma, schedule.eta, averaging))
-        want = noisy_descent(ds.signed_features(), c, T, sigma, schedule.eta, averaging,
-                             fresh_block(key, index))
+    members = [(3, 0.1), (4, 0.05), (9, 0.1), (10, 0.3), (2**40, 0.02)]
+    models = lane_runs(ds, key, members, mode=mode, overrides=overrides)
+    for index, c in members:
+        schedule = models[index].provenance.schedule
+        # the schedule the lane resolved for the run's c is the run's own
+        alone = ngd(c, ds, 0.5, mode=mode, seed=SelectionRun(key, index, iteration_cap()),
+                    overrides=overrides)
+        assert schedule == alone.provenance.schedule and schedule.T == T
+        assert (schedule.sigma > 0) == noisy
+        want = noisy_descent(ds.signed_features(), c, T, schedule.sigma, schedule.eta,
+                             averaging, fresh_block(key, index))
+        got = models[index].weights
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(alone.weights - want) <= 1e-12 * np.linalg.norm(want)
         assert np.any(want != 0.0)
 
 
+def column_bits(ds, key, before, run, after, mu, overrides=None):
+    """The bytes of `run`'s weights, (index, c), with `before` and `after`
+    its lane mates ahead of it and behind it."""
+    models = lane_runs(ds, key, [*before, run, *after], mu=mu, overrides=overrides)
+    return models[run[0]].weights.tobytes()
+
+
 def test_a_runs_column_bits_do_not_depend_on_its_position_or_mates():
-    # privtune-small's shape (n = 100, k = 20, T = 12, lanes of 32): run
-    # 1000 alone, first, in the middle and last among other runs of its lane,
-    # and in a later lane, gives the same bytes.  A property of the BLAS,
-    # which must give a GEMM column the same bits at any position; seen with
-    # OpenBLAS
-    ds = planted(n=100, d=20, gamma=0.3, outliers=4, seed=21)
-    c = 0.1
-    schedule = ngd(c, ds, mu=0.0346, seed=0).provenance.schedule
-    assert schedule.T == 12 and lane_width(ds.n, ds.dim, schedule.T) == 32
+    # run 1000 alone, first, in the middle and last among mates at other c
+    # in its lane, and in a later lane, gives the same bytes: at
+    # privtune-small's shape (n = 100, k = 20, T = 12, lanes of 32) and at
+    # iterate-lowdim's (n = 4000, k = 20, lanes of 8; here T = 100, two noise
+    # blocks of 64 rows).  A property of the BLAS, which must give a GEMM
+    # column the same bits at any position; seen with OpenBLAS
+    shapes = [(planted(n=100, d=20, gamma=0.3, outliers=4, seed=21), 32, 0.0346, None, 12),
+              (planted(n=4000, d=20, gamma=0.25, seed=22), 8, 0.1, NgdOverrides(T=100), 100)]
     key = noise_key(3)
-    columns = []
-    for position, mates in [(0, 0), (0, 31), (13, 31), (31, 31), (5, 9), (45, 70)]:
-        runs = [*range(100, 100 + position), 1000, *range(2000, 2000 + mates - position)]
-        lane = Lane(key, runs)
-        columns.append(lane.column(1000, 32, ds, (c, 12, schedule.sigma, schedule.eta, True)))
-    assert all(col.tobytes() == columns[0].tobytes() for col in columns)
-    assert np.any(columns[0] != 0.0)
+    cs = [0.02, 0.05, 0.1, 0.2, 0.3]
+    run = (1000, 0.1)
+    for ds, width, mu, overrides, T in shapes:
+        assert ngd(0.1, ds, mu, overrides=overrides).provenance.schedule.T == T
+        assert lane_width(ds.n, ds.dim, T) == width
+        last = width - 1
+        columns = []
+        for position, mates in [(0, 0), (0, last), (width // 2, last), (last, last), (5, 6),
+                                (width + 5, 2 * width + 3)]:
+            before = [(100 + j, cs[j % 5]) for j in range(position)]
+            after = [(2000 + j, cs[j % 5]) for j in range(mates - position)]
+            columns.append(column_bits(ds, key, before, run, after, mu, overrides))
+        assert all(col == columns[0] for col in columns)
+        assert np.any(np.frombuffer(columns[0]) != 0.0)
 
 
 def test_lane_descends_each_lane_once_and_keeps_only_the_last():
     ds = planted(n=60, d=5, seed=14)
-    lane = Lane(noise_key(1), list(range(10)))
-    schedule = (0.1, 12, 2.0, 0.01, True)
-    first = lane.column(0, 4, ds, schedule)
-    held = lane._weights
-    lane.column(3, 4, ds, schedule)  # the same lane, not descended again
-    assert lane._weights is held and held.shape == (5, 4)
-    lane.column(4, 4, ds, schedule)  # runs 4-7
-    assert lane._weights is not held
-    assert lane.column(0, 4, ds, schedule).tobytes() == first.tobytes()
+    key = noise_key(1)
+    lane = Lane(key, ((i, 0.1 * (1 + i % 3)) for i in range(40)))
+    held = []
+    for i in range(40):
+        ngd(0.1 * (1 + i % 3), ds, 0.5, seed=SelectionRun(key, i, iteration_cap(), lane),
+            overrides=NgdOverrides(T=12))
+        held.append(lane._weights)
+        assert len(lane._held) <= 32 and lane._weights.shape == (5, 32)
+    # runs 0-31 read one descent, runs 32-39 the next, padded
+    assert all(w is held[0] for w in held[:32]) and all(w is held[32] for w in held[32:])
+    assert held[32] is not held[0] and len(lane._held) == 8
+    assert len(lane._schedules) == 3  # one per distinct c
+
+
+def test_lane_resolves_each_schedule_once_per_distinct_c(monkeypatch):
+    import dpmargin.optimizer as opt
+
+    calls = []
+    original = opt.resolve_schedule
+
+    def counting(n, k, delta_sens, *args):
+        calls.append(delta_sens)
+        return original(n, k, delta_sens, *args)
+
+    monkeypatch.setattr(opt, "resolve_schedule", counting)
+    ds = planted(n=60, d=5, seed=14)
+    members = [(i, [0.05, 0.1, 0.2][i // 30]) for i in range(90)]
+    lane_runs(ds, noise_key(1), members, overrides=NgdOverrides(T=12))
+    assert len(calls) == 3 == len(set(calls))
 
 
 def test_lane_members_must_share_rows_and_schedule():
     ds = planted(n=60, d=5, seed=14)
-    lane = Lane(noise_key(1), [0, 1, 2])
-    lane.column(0, 4, ds, (0.1, 12, 2.0, 0.01, True))
-    lane.column(1, 4, ds, (0.1, 12, 2.0, 0.01, True))
-    with pytest.raises(ValueError, match="share their rows and schedule"):
-        lane.column(2, 4, ds, (0.1, 13, 2.0, 0.01, True))
-    # equal rows in another Dataset are other rows
-    with pytest.raises(ValueError, match="share their rows and schedule"):
-        lane.column(2, 4, planted(n=60, d=5, seed=14), (0.1, 12, 2.0, 0.01, True))
-    with pytest.raises(ValueError, match="share their rows and schedule"):
-        lane.column(2, 4, planted(n=60, d=5, seed=15), (0.1, 12, 2.0, 0.01, True))
-    for index in (3, -1):
-        with pytest.raises(ValueError, match=f"run {index} is not in this lane"):
-            lane.column(index, 4, ds, (0.1, 12, 2.0, 0.01, True))
+    key = noise_key(1)
+    lane = Lane(key, [(0, 0.1), (1, 0.2), (2, 0.1), (3, 0.1)])
+
+    def run(index, c=0.1, rows=ds, mu=0.5, mode="averaged", T=12):
+        return ngd(c, rows, mu, mode=mode, seed=SelectionRun(key, index, iteration_cap(), lane),
+                   overrides=NgdOverrides(T=T))
+
+    run(0)
+    run(1, c=0.2)
+    for bad in (dict(T=13), dict(mu=0.4), dict(mode="last_iterate"),
+                dict(rows=planted(n=60, d=5, seed=14)),  # equal rows in another Dataset
+                dict(rows=planted(n=60, d=5, seed=15))):
+        with pytest.raises(ValueError, match="share their rows and schedule inputs"):
+            run(2, **bad)
+    # another c, a run out of order, or a run not in the lane
+    for index, c in [(2, 0.2), (3, 0.1), (9, 0.1), (-1, 0.1)]:
+        with pytest.raises(ValueError, match=f"run {index} at c = {c} is not this lane's next"):
+            run(index, c=c)
+    run(2)
+    run(3)
+    with pytest.raises(ValueError, match="run 4 at c = 0.1 is not this lane's next"):
+        run(4)  # the lane's members are used up
+
+
+def test_lane_noise_reads_each_members_stream_bit_for_bit():
+    # three members of a lane of 8 at T = 1100: each call draws 64 rows a
+    # member, the members' draws interleaved on one thread's generator, and
+    # the rows each member reads join up to its stream's T x k draw
+    key, indices, k, T = noise_key(7), [5, 2**33, 12], 5, 1100
+    draw = _lane_noise(key, indices, 8, k, T)
+    got = [[] for _ in indices]
+    drawn = 0
+    while drawn < T:
+        rows = min(64, T - drawn)
+        block = draw(rows)
+        assert block.shape == (8, rows, k) and block.base.size <= 512 * k
+        assert not block[len(indices):].any()  # the inert members draw nothing
+        for j in range(len(indices)):
+            got[j].append(block[j].copy())
+        drawn += rows
+    for j, index in enumerate(indices):
+        want = block_stream(key, index).standard_normal((T, k))
+        assert np.concatenate(got[j]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width, T", [(32, 12), (32, 1100), (8, 1100), (8, 30)])
+def test_no_lane_noise_array_exceeds_a_lone_runs_block(width, T, monkeypatch):
+    import dpmargin.optimizer as opt
+
+    k, places = 20, []
+    original = opt.position
+
+    def counting(rng):
+        places.append(1)
+        return original(rng)
+
+    monkeypatch.setattr(opt, "position", counting)
+    members = width - 3
+    draw = _lane_noise(noise_key(2), list(range(members)), width, k, T)
+    blocks = []
+    for start in range(0, T, 512 // width):
+        blocks.append(draw(min(512 // width, T - start)))
+    assert max(block.base.size for block in blocks) <= 512 * k
+    # a place is saved only where another block follows: none for one block
+    assert len(places) == members * (len(blocks) - 1)
+
+
+def test_a_lane_of_many_runs_holds_state_of_its_width_only():
+    # a lane over K runs reads them from an iterator and keeps one lane's
+    # members and weights: its memory does not grow with K
+    ds = planted(n=20, d=3, seed=16)
+    key = noise_key(4)
+    assert lane_width(ds.n, ds.dim, 2) == 32
+
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            lane = Lane(key, ((i, 0.1 + 0.1 * (i % 3)) for i in range(runs)))
+            for i in range(runs):
+                ngd(0.1 + 0.1 * (i % 3), ds, 0.5, seed=SelectionRun(key, i, 10**7, lane),
+                    overrides=NgdOverrides(T=2))
+            assert len(lane._held) <= 32 and len(lane._schedules) == 3
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1100), peak(4400)
+    # 3,300 more runs would add at least 26 kB as one list of references
+    assert large - small < 8_000
 
 
 def test_lane_width_is_a_power_of_two_within_the_lane_budget():
-    # privtune-small's shape gets 32; a Gram-form run, or rows or noise too
-    # large for the budget, get 1.  The budget counts the lane's whole noise
-    assert lane_width(100, 20, 12) == 32
-    assert lane_width(1500, 3000, 849) == 1 and lane_width(10000, 20, 12) == 1
-    assert lane_width(100, 20, 1000) == 1
-    assert lane_width(20, 3, 2) == 256 and lane_width(20, 3, 600) == 4
-    assert lane_width(20, 8, 1000) == 1  # 2 under a budget of 512 noise rows
-    for n, k, T in [(20, 3, 2), (20, 3, 600), (60, 5, 1100), (300, 20, 100), (30, 20, 1)]:
+    # 8 at iterate-lowdim's shape and 32 at privtune-small's; a Gram-form
+    # run gets 1, and so do rows too many for the budget.  T enters only
+    # through the Gram form
+    assert lane_width(4000, 20, 22272) == 8 and lane_width(100, 20, 12) == 32
+    assert lane_width(1500, 3000, 849) == 1 and lane_width(40000, 20, 12) == 1
+    assert lane_width(10000, 20, 12) == 2 and lane_width(100, 20, 1000) == 32
+    assert lane_width(20, 3, 2) == 32 == lane_width(20, 3, 600)
+    assert lane_width(100, 3000, 1) == 8  # k x W arrays count too
+    for n, k, T in [(20, 3, 2), (20, 3, 600), (60, 5, 1100), (300, 20, 100), (30, 20, 1),
+                    (4000, 20, 22272), (2000, 20, 9)]:
         width = lane_width(n, k, T)
         assert width & (width - 1) == 0
-        assert width * max(n, T * k) <= 2**13 < 2 * width * max(n, T * k)
+        assert width * max(n, k) <= 2**15 and (width == 32 or 2 * width * max(n, k) > 2**15)
 
 
 # ---------------------------------------------------------------- Gram-form reuse

@@ -1,7 +1,7 @@
 """How a seed becomes streams: every bit of the seed counts, only `_seeding`
 builds or moves generators, and a priv-tune selection derives one noise key
-and gives run i that key's counter block i, which its lane reads in one go
-next to its lane mates'."""
+and gives run i that key's counter block i, which its lane reads a block of
+rows at a time next to its lane mates'."""
 
 import pathlib
 import re
@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import dpmargin
-from dpmargin._seeding import NGD_NOISE, TNB_RUNS, block_stream, noise_key, stream
+from dpmargin._seeding import (NGD_NOISE, TNB_RUNS, block_stream, noise_key, position, resume,
+                               stream)
 from dpmargin.data import synth_margin_dataset
 import dpmargin.optimizer as optimizer
-from dpmargin.optimizer import Lane, NgdOverrides, iteration_cap, jlgd, lane_width
+from dpmargin.optimizer import Lane, NgdOverrides, SelectionRun, iteration_cap, jlgd, lane_width
+from dpmargin.privacy import per_candidate_budget
 from dpmargin.projection import IdentityMap
 from dpmargin.tuning import Candidate, ScoreSpec, TnbDist, priv_tune, sample_tnb
 
@@ -52,6 +54,20 @@ def test_block_zero_of_the_noise_key_is_the_seeds_noise_stream(seed):
     assert again.tobytes() == stream(seed, NGD_NOISE).standard_normal(3).tobytes()
 
 
+def test_a_stream_resumed_at_its_position_draws_on_bit_for_bit():
+    # a place taken mid-buffer, then the thread's generator moved to other
+    # blocks, and the stream resumed on another thread
+    key = noise_key(9)
+    want = stream(9, NGD_NOISE).standard_normal(11)
+    rng = block_stream(key, 0)
+    head = rng.standard_normal(5)
+    place = position(rng)
+    block_stream(key, 1).standard_normal(7)
+    (tail,) = on_caller_threads(lambda: resume(place).standard_normal(6), 1)
+    assert np.concatenate([head, tail]).tobytes() == want.tobytes()
+    assert resume(place).standard_normal(6).tobytes() == tail.tobytes()
+
+
 def long_selection(overrides=None):
     """A priv-tune selection of 1,000-3,000 two-step noisy descents, their
     schedule pinned by `overrides` when given.
@@ -78,32 +94,32 @@ def long_selection(overrides=None):
     return select, ds, seed
 
 
-def alone(ds, cand, model, key, index, width):
-    """The run's descent again, alone in a lane of `width` columns."""
+def alone(ds, cand, model, key, index):
+    """The run's descent again, alone in a lane of its own."""
     sched = model.provenance.schedule
     assert sched.T == 2 and sched.sigma > 0
-    lane = Lane(key, [index])
-    return lane.column(index, width, ds, (cand.gamma / 3, sched.T, sched.sigma, sched.eta, True))
+    lane = Lane(key, [(index, cand.c)])
+    mu = per_candidate_budget(0.1, 1)[0]  # long_selection's base budget
+    again = jlgd(cand.phi, cand.c, ds, mu, seed=SelectionRun(key, index, iteration_cap(), lane))
+    assert again.provenance.schedule == sched
+    return again.weights
 
 
 def test_priv_tune_run_seeds_are_pairwise_distinct():
     # run i gets block i of the one key its selection derived, and the cap
-    # its selection read, whenever it runs; every run is given its
-    # candidate's lane, which holds that candidate's runs and no others
+    # its selection read, whenever it runs; the three identity candidates
+    # share their rows, so every run is given the one lane over them all,
+    # in the order the runs come: by candidate, each candidate's in order
     select, _, seed = long_selection()
     runs = []
     select(runs)
     assert 1000 <= len(runs) <= 3000
+    assert len({run.lane for _, run, _ in runs}) == 1
+    order = [(cand.gamma, run.index) for cand, run, _ in runs]
+    assert order == sorted(order) and len({g for g, _ in order}) == 3
     runs.sort(key=lambda entry: entry[1].index)
     assert [run[:3] for _, run, _ in runs] == [(noise_key(seed), i, iteration_cap())
                                                for i in range(len(runs))]
-    owner, held = {}, {}
-    for cand, run, _ in runs:
-        assert owner.setdefault(run.lane, cand) is cand
-        held.setdefault(run.lane, []).append(run.index)
-    assert len(held) == 3
-    for lane, indices in held.items():
-        assert lane.runs == indices
 
 
 @pytest.mark.parametrize("callers", [1, 2])
@@ -135,12 +151,10 @@ def test_priv_tune_run_weights_rebuild_from_the_seed_and_run_index():
     select(runs)
     runs.sort(key=lambda entry: entry[1].index)
     assert [run.index for _, run, _ in runs] == list(range(len(runs)))
-    width = lane_width(ds.n, ds.dim, 2)
-    assert width == 256
-    assert max(len(run.lane.runs) for _, run, _ in runs) > width  # several lanes' worth
+    assert lane_width(ds.n, ds.dim, 2) == 32 < len(runs)  # many lanes' worth
     for i in reversed(range(len(runs))):
         cand, _, model = runs[i]
-        rebuilt = alone(ds, cand, model, noise_key(seed), i, width)
+        rebuilt = alone(ds, cand, model, noise_key(seed), i)
         assert model.weights.tobytes() == rebuilt.tobytes()
 
 
@@ -167,19 +181,27 @@ def test_priv_tune_is_bit_identical_across_threads_and_to_fresh_streams():
 
 def test_a_lane_is_as_wide_as_its_runs_own_T_allows(monkeypatch):
     # the base pins T = 600 where the budget gives T = 2: the lanes are sized
-    # for 600 steps (4 columns), not for 2 (256), so a lane's noise and
-    # scores stay within the lane budget
-    widths = []
+    # for 600 steps, which at n = 20, k = 3 is 32 columns, as for 2 steps,
+    # and their noise comes in blocks of 512 // 32 = 16 rows, so a lane's
+    # noise stays within a lone run's 512 x k block.  One lane spans the
+    # three candidates, so only its last descent is padded
+    widths, blocks = [], []
     descend = optimizer._feature_descent
 
     def spy(signed, c, T, sigma, eta, averaging, draw, width=1):
+        def recording(rows):
+            block = draw(rows)
+            blocks.append(block.base.size if block.base is not None else block.size)
+            return block
+
         widths.append((width, signed.shape[0], T, signed.shape[1]))
-        return descend(signed, c, T, sigma, eta, averaging, draw, width)
+        return descend(signed, c, T, sigma, eta, averaging, recording, width)
 
     monkeypatch.setattr(optimizer, "_feature_descent", spy)
     select, ds, _ = long_selection(NgdOverrides(T=600))
     runs = []
     select(runs)
-    assert all(T == 600 and width * max(n, T * k) <= 2**13 for width, n, T, k in widths)
-    assert {width for width, *_ in widths} == {lane_width(ds.n, ds.dim, 600)} == {4}
-    assert len(widths) == sum(-(-len(lane.runs) // 4) for lane in {r.lane for _, r, _ in runs})
+    assert {width for width, *_ in widths} == {lane_width(ds.n, ds.dim, 600)} == {32}
+    assert all(T == 600 and width * max(n, k) <= 2**15 for width, n, T, k in widths)
+    assert len(widths) == -(-len(runs) // 32)
+    assert len(blocks) == len(widths) * -(-600 // 16) and max(blocks) <= 512 * ds.dim

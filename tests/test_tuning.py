@@ -498,10 +498,12 @@ def test_priv_tune_holds_few_models_at_once():
 
 
 def test_priv_tune_models_own_their_weights_and_lanes_close_one_at_a_time():
-    # a serial selection holds at most one lane at a time, and each model's
-    # weights are its own copy, not a view of a lane's buffer
+    # a serial selection holds at most one lane at a time, one for each set
+    # of rows, and each model's weights are its own copy, not a view of a
+    # lane's buffer
     ds = planted(n=20, d=3, seed=16)
-    cands = id_candidates([0.2, 0.4, 0.8], ds.dim)
+    cands = [Candidate(0.2, IdentityMap(3)), Candidate(0.4, sample_jl(2, 3, seed=1)),
+             Candidate(0.8, sample_jl(2, 3, seed=2))]
     dist = TnbDist(1, 1e-3)
     seed = next(s for s in range(200)
                 if 1000 <= sample_tnb(dist, stream(s, TNB_RUNS)) <= 3000)
@@ -518,7 +520,7 @@ def test_priv_tune_models_own_their_weights_and_lanes_close_one_at_a_time():
         return model
 
     priv_tune(base, cands, dist, ds, 0.5, ScoreSpec("empirical_zero_one"), seed=seed)
-    assert peak[0] == 1 and 3 <= lanes[0] < len(models) // 10
+    assert peak[0] == 1 and lanes[0] == 3 and len(models) >= 1000
     assert all(model.weights.base is None for model in models)
 
 
@@ -729,12 +731,14 @@ def test_iter_tune_releases_gram_when_a_run_fails():
     # builds G on the selection's rows, and the second raises.  The held
     # traceback keeps the failing selection's frame, and so its rows and G,
     # alive; once it is dropped, G is unreachable, and the caller's dataset
-    # never held one
+    # never held one.  The runs share a lane, which holds the rows, so the
+    # base keeps their indices, not the runs
     ds = synth_margin_dataset(40, 60, 0.3, 0, seed=1)[0]
     calls, grams = [], []
 
     def base(candidate, rows, mu, s):
-        calls.append(s)
+        assert s.lane is not None
+        calls.append(s.index)
         if len(calls) == 2:
             raise RuntimeError("second run fails")
         model = jlgd(candidate.phi, candidate.gamma / 3, rows, mu, seed=s)
@@ -769,9 +773,9 @@ def test_priv_tune_projects_each_reused_jl_candidate_once(callers, monkeypatch):
 
     monkeypatch.setattr(optimizer, "project_and_clip", spy)
 
-    def alone(run):
+    def alone(run, cand):
         """The run again, alone in a lane of the width `ngd` gives its lane."""
-        return run._replace(lane=run.lane and Lane(run.key, [run.index]))
+        return run._replace(lane=run.lane and Lane(run.key, [(run.index, cand.c)]))
 
     def check():
         ds, cands = jl_fixture()
@@ -787,7 +791,7 @@ def test_priv_tune_projects_each_reused_jl_candidate_once(callers, monkeypatch):
             # each run's k-dim bits, descended alone on freshly projected rows
             fresh = JlMatrix(cand.phi.k, cand.phi.d, cand.phi.seed)
             rows = project_rows(fresh, ds)
-            again = jlgd(fresh, cand.gamma / 3, rows, mu, seed=alone(s))
+            again = jlgd(fresh, cand.c, rows, mu, seed=alone(s, cand))
             assert run_model.dim == cand.phi.k
             assert run_model.weights.tobytes() == again.weights.tobytes()
             noisy[s.index] = score(again, rows, spec) + noise[s.index]
