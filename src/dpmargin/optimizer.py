@@ -191,10 +191,15 @@ def lane_width(n: int, k: int, T: int) -> int:
     n x W scores and each k x W array within 2^15 numbers: 8 at n = 4000,
     k = 20 and 32 at n = 100, k = 20.  A lane's noise is drawn 512 // W
     rows at a time, so its size does not depend on T.  `_feature_descent`
-    at n = 4000, k = 20 on one BLAS thread (OpenBLAS, 2-vCPU x86 host) took
-    48.5 / 137 / 368 / 359 / 695 us a step at W = 1 / 8 / 13 / 16 / 32,
-    so 13 runs go faster as two lanes of 8 than as one lane of 13 or 16;
-    at n = 100 widths above 32 were no faster.
+    at n = 4000, k = 20 on one BLAS thread (`experiments/step_us.py`;
+    OpenBLAS 0.3.31, 2-vCPU x86 host) took 28.6 / 69.3 / 107.5 / 324.7 /
+    617.9 us a step at W = 1 / 4 / 8 / 16 / 32, or 28.6 / 17.3 / 13.4 /
+    20.3 / 19.3 us a column, so 13 runs go faster as two lanes of 8 than
+    as one of 16.  That W = 8 wins there is an observation, not a rule:
+    both products together took 11.2 us a column at W = 12 and 21.6 at
+    W = 13, where n k W crosses 1e6, which fits the size below which
+    OpenBLAS takes its small-matrix path.  At n = 100 widths above 32 were
+    no faster.
     """
     if _gram_pays(n, k, T):
         return 1
@@ -409,6 +414,16 @@ def _feature_descent(signed, c, T, sigma, eta, averaging, draw, width=1) -> np.n
     512 // width rows.  At width 1 every array is a vector, and a step is
     the two matrix-vector products of a lone run.  Returns w, k x `width`
     (a k-vector at width 1).
+
+    The active-set test broadcasts nothing and allocates nothing.  Once per
+    descent the loop makes `limits`, the limits c^2/eta laid out n x W like
+    the scores (the scalar itself at width 1), a bool `mask` and a float
+    `active`; each step compares the scores to `limits` into `mask` and
+    copies it into `active`, which both products read.  Compared with the
+    W-vector itself, numpy would run n inner loops only W long, and casting
+    the result would make a new n x W float array each step: at n = 4000,
+    W = 8 that test took 35 us against 16 us (`timeit`, one thread).  The
+    products read the same 0/1 values either way, so the bits are the same.
     """
     signed_t = signed.T
     n, k = signed.shape
@@ -421,6 +436,9 @@ def _feature_descent(signed, c, T, sigma, eta, averaging, draw, width=1) -> np.n
     x = np.empty_like(pulls) if noisy else pulls
     total = np.zeros_like(pulls)  # sum_{t<T} x_t; x_0 = 0
     scores = np.zeros((n, *columns))  # S x_t
+    limits = np.full(scores.shape, limit) if width > 1 else limit
+    mask = np.empty(scores.shape, dtype=bool)
+    active = np.empty_like(scores)
     step = np.empty_like(pulls)
     drift = np.zeros((width, k))  # r at the start of the block
     block_rows = _NOISE_BLOCK // width
@@ -435,7 +453,8 @@ def _feature_descent(signed, c, T, sigma, eta, averaging, draw, width=1) -> np.n
             drift[:] = block[:, -1]  # `draw` may reuse the block's array
             noise = block[0] if width == 1 else block.transpose(1, 2, 0)
         for t in range(rows):
-            active = (scores < limit).astype(np.float64)  # zero subgradient at the kink
+            np.less(scores, limits, out=mask)  # zero subgradient at the kink
+            np.copyto(active, mask)
             np.dot(signed_t, active, out=step)
             pulls += step
             if noisy:
@@ -463,17 +482,23 @@ def _gram_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
     stays put for many steps (all rows, or the rows that violate the margin).
     It is recomputed only when the set changes; the step is then built from
     it with the same operations in the same order as when it is recomputed
-    every step, so the weights are the same bit for bit.
+    every step, so the weights are the same bit for bit.  Each step tests
+    the set into one of two bool buffers and swaps them when it changes, so
+    neither the test nor the "unchanged" check allocates.
     """
     signed, gram = dataset.signed_features(), dataset.gram()
     n, k = signed.shape
     scores = np.zeros(n)
     counts = np.zeros(n)  # weighted sum of the active sets
     noise = np.zeros(k)  # weighted sum of the noise rows
-    pull = np.empty(n)  # G a / -c for the current active set
+    pull = np.empty(n)  # G a / -c for the held active set
     step = np.empty(n)
     weighted = np.empty(n)
-    held = None  # the active set `pull` was computed for
+    mask = np.empty(n, dtype=bool)  # this step's active set
+    held = np.empty(n, dtype=bool)  # the active set `pull` was computed for
+    changed = np.empty(n, dtype=bool)
+    active = np.empty(n)
+    pulled = False
     inv_c = -1.0 / c
     for start in range(0, T, _NOISE_BLOCK):
         rows = min(_NOISE_BLOCK, T - start)
@@ -485,12 +510,13 @@ def _gram_descent(dataset, c, T, sigma, eta, averaging, rng) -> np.ndarray:
             noise += weights @ block
             block_scores = block @ signed.T  # row t is S noise_t
         for t in range(rows):
-            mask = scores < c  # zero subgradient at the kink
-            if held is None or not np.array_equal(mask, held):
-                held = mask
-                active = mask.astype(np.float64)
+            np.less(scores, c, out=mask)  # zero subgradient at the kink
+            if not pulled or np.not_equal(mask, held, out=changed).any():
+                mask, held = held, mask
+                np.copyto(active, held)
                 np.dot(gram, active, out=pull)
                 pull *= inv_c
+                pulled = True
             if sigma > 0.0:
                 np.add(pull, block_scores[t], out=step)
             else:

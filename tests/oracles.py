@@ -1,7 +1,8 @@
 """Per-point reference forms the tests check the library's vectorised code against.
 
 Nothing in the library calls these; they state each quantity one point (or
-one closed form) at a time, as the paper writes it.
+one closed form) at a time, as the paper writes it, or keep a loop as it was
+before a rewrite that must not change its bits.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from dpmargin.data import DEFAULT_TOL, geometric_margin_oracle, normalize_points
 from dpmargin.errors import DataFormatError, LabelError
+from dpmargin.optimizer import _NOISE_BLOCK
 
 
 @dataclass(frozen=True)
@@ -83,3 +85,54 @@ def noisy_descent(signed, c: float, T: int, sigma: float, eta: float, averaging:
             grad = grad + sigma * rng.standard_normal(w.shape[0])
         w = w - eta * grad
     return total / T if averaging else w
+
+
+def broadcast_feature_descent(signed, c, T, sigma, eta, averaging, draw,
+                              width=1) -> np.ndarray:
+    """`optimizer._feature_descent` as it was before its active-set test
+    went into preallocated buffers, kept verbatim.
+
+    Each step compares the scores to the limits c^2/eta, a scalar or a
+    W-vector broadcast along the rows, and casts the result into a new float
+    array.  The buffered loop feeds its two products the same 0/1 values, so
+    it must return the same weights bit for bit.
+    """
+    signed_t = signed.T
+    n, k = signed.shape
+    scale = eta / c
+    limit = c / scale
+    noise_scale = np.reshape(c * sigma, (-1, 1, 1))
+    noisy = np.max(sigma) > 0.0
+    columns = (width,) if width > 1 else ()
+    pulls = np.zeros((k, *columns))
+    x = np.empty_like(pulls) if noisy else pulls
+    total = np.zeros_like(pulls)  # sum_{t<T} x_t; x_0 = 0
+    scores = np.zeros((n, *columns))  # S x_t
+    step = np.empty_like(pulls)
+    drift = np.zeros((width, k))  # r at the start of the block
+    block_rows = _NOISE_BLOCK // width
+    for start in range(0, T, block_rows):
+        rows = min(block_rows, T - start)
+        last = rows - 1 if start + rows == T else rows
+        if noisy:
+            block = draw(rows)
+            block *= noise_scale
+            block[:, 0] += drift
+            np.cumsum(block, axis=1, out=block)  # row t is r_{start + t + 1}
+            drift[:] = block[:, -1]  # `draw` may reuse the block's array
+            noise = block[0] if width == 1 else block.transpose(1, 2, 0)
+        for t in range(rows):
+            active = (scores < limit).astype(np.float64)  # zero subgradient at the kink
+            np.dot(signed_t, active, out=step)
+            pulls += step
+            if noisy:
+                np.subtract(pulls, noise[t], out=x)
+            if t == last:
+                break
+            np.dot(signed, x, out=scores)
+            if averaging:
+                total += x
+    if averaging:
+        total *= scale / T
+        return total
+    return x * scale

@@ -34,7 +34,7 @@ from dpmargin.projection import IdentityMap, lift, sample_jl
 from dpmargin.tuning import ScoreSpec, score
 
 from conftest import fresh_block, random_unit_dataset
-from oracles import noisy_descent
+from oracles import broadcast_feature_descent, noisy_descent
 
 
 def planted(n=120, d=8, gamma=0.4, outliers=0, seed=0):
@@ -329,6 +329,58 @@ def test_both_descent_forms_match_reference(n, k, T, c, averaged, data_seed):
     # the Gram form reusing G a equals the loop recomputing it every step
     np.testing.assert_array_equal(
         got, dense_reference_weights(ds, c, schedule, averaged, data_seed))
+
+
+@pytest.mark.parametrize("width", [1, 8, 32])
+@pytest.mark.parametrize("n, T", [(4000, 200), (100, 12)])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("averaging", [True, False])
+def test_feature_descent_equals_the_broadcast_loop_bit_for_bit(width, n, T, noisy, averaging):
+    # the buffered active-set test feeds both products the same 0/1 values
+    # as the loop that broadcast the limits and cast a new array each step,
+    # so every weight keeps its bits: iterate-lowdim's shape and lane width
+    # (T = 200 spans 4 noise blocks at W = 8 and 13 at W = 32) and
+    # privtune-small's, each column at its own c, sigma and eta
+    ds = planted(n=n, d=20, gamma=0.25, outliers=3, seed=15)
+    k = ds.dim
+    mode = "averaged" if averaging else "last_iterate"
+    cs = [0.25 / 3 * (0.5 + j / width) for j in range(width)]
+    schedules = [resolve_schedule(n, k, hinge_sensitivity(ds.norm_bound, c), 0.5, mode,
+                                  NgdOverrides(T=T)) for c in cs]
+    _, sigma, eta = (np.array(v) for v in zip(*schedules))
+    c = np.array(cs)
+    if not noisy:
+        sigma = np.zeros(width)
+    if width == 1:
+        c, sigma, eta = float(c[0]), float(sigma[0]), float(eta[0])
+
+    def draws():
+        rng = np.random.default_rng(9)
+        return lambda rows: rng.standard_normal((width, rows, k))
+
+    args = (ds.signed_features(), c, T, sigma, eta, averaging)
+    got = _feature_descent(*args, draws(), width)
+    want = broadcast_feature_descent(*args, draws(), width)
+    assert got.shape == ((k, width) if width > 1 else (k,))
+    assert np.array_equal(got, want) and np.any(want != 0.0)
+
+
+@pytest.mark.parametrize("width", [1, 8])
+@pytest.mark.parametrize("averaging", [True, False])
+def test_a_score_at_the_limit_is_inactive(width, averaging):
+    # sigma = 0 and c = eta = 1, so the limit c^2/eta is 1: step 1 pulls
+    # both unit rows, step 2 scores each at exactly 1, and the strict < makes
+    # both inactive, so w stays (1, 1); a <= would pull them to (2, 2)
+    ones = np.ones(width) if width > 1 else 1.0
+
+    def no_noise(rows):
+        raise AssertionError("a noiseless descent draws no noise")
+
+    args = (np.eye(2), ones, 3, ones * 0.0, ones, averaging, no_noise, width)
+    got = _feature_descent(*args)
+    want = 2.0 / 3.0 if averaging else 1.0  # (w_0 + w_1 + w_2) / 3 or w_3
+    np.testing.assert_array_equal(got, np.full(got.shape, want))
+    assert np.array_equal(got, broadcast_feature_descent(*args))
 
 
 # ---------------------------------------------------------------- lanes
